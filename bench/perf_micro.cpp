@@ -24,6 +24,7 @@
 #include "nanocost/core/generalized_cost.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
+#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/simulator.hpp"
 #include "nanocost/geometry/wafer_map.hpp"
@@ -379,6 +380,15 @@ void write_bench_json() {
   run_ladder("risk_mc_20000", cases, [&](exec::ThreadPool& pool) {
     benchmark::DoNotOptimize(core::monte_carlo_cost(inputs, 300.0, 20000, 1, 0.0, &pool));
   });
+  {
+    // The served form of the same Monte-Carlo: the deadline-aware entry
+    // point a risk request runs (no cancel token here, so it runs whole).
+    exec::ThreadPool pool(1);
+    run_serial("risk_mc_partial_20000", cases, [&] {
+      benchmark::DoNotOptimize(
+          core::monte_carlo_cost_partial(inputs, 300.0, 20000, 1, 0.0, &pool));
+    });
+  }
   run_ladder("robust_sd_24x2000", cases, [&](exec::ThreadPool& pool) {
     benchmark::DoNotOptimize(core::robust_sd(inputs, 0.9, 120.0, 1500.0, 24, 2000, 1, &pool));
   });

@@ -18,14 +18,14 @@
 // kill -9.
 //
 // Prints one line: status, completeness, frontier, artifact hits, and
-// the fnv1a digest of the result bytes.  Two invocations that print
-// the same digest received bitwise-identical results.
+// the fnv1a digest of the result bytes ("-" when there are none).  Two
+// invocations that print the same digest received bitwise-identical
+// results.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/serve/resilient.hpp"
 
 namespace {
@@ -119,14 +119,12 @@ int main(int argc, char** argv) {
       job.max_chunks = max_chunks;
       r = client.submit_and_wait(job);
     }
-    const std::uint64_t digest = robust::fnv1a(std::string_view(
-        reinterpret_cast<const char*>(r.result.data()), r.result.size()));
     std::printf("%s status=%s completeness=%.4f frontier=%lld artifact_hits=%llu "
-                "coalesced=%d digest=%016llx reconnects=%llu retries=%llu%s%s\n",
+                "coalesced=%d digest=%s reconnects=%llu retries=%llu%s%s\n",
                 kind.c_str(), serve::response_status_name(r.status), r.completeness,
                 static_cast<long long>(r.frontier_chunks),
                 static_cast<unsigned long long>(r.artifact_hits), r.coalesced ? 1 : 0,
-                static_cast<unsigned long long>(digest),
+                serve::result_digest(r.result).c_str(),
                 static_cast<unsigned long long>(client.reconnects()),
                 static_cast<unsigned long long>(client.retries()),
                 r.message.empty() ? "" : " -- ", r.message.c_str());

@@ -12,13 +12,21 @@
 // On a miss the plain function runs (on the caller's pool as usual),
 // the encoded result is inserted, and the *computed* value is returned
 // directly -- a miss is never slower than the uncached call by more
-// than the encode.  Telemetry: cache.hits / cache.misses /
-// cache.insert_bytes counters, and a "cache.lookup" span when tracing.
+// than the encode.
+//
+// Every spelling is built on one public pair, lookup_encoded and
+// publish_encoded, which callers that already hold (or want) the
+// encoded bytes use directly -- the serve daemon answers an eq4 hit with
+// the stored bytes, never decoding them.  Telemetry lives in the pair:
+// each lookup counts one of cache.hits / cache.misses and records a
+// "cache.lookup" span when tracing; each publish adds its size to
+// cache.insert_bytes.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "nanocost/cache/hash.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/fabsim/simulator.hpp"
@@ -30,6 +38,15 @@ class ThreadPool;
 }
 
 namespace nanocost::cache {
+
+/// Copies the encoded result stored under `key` in the process-wide
+/// result cache into `out`; returns false (leaving `out` unspecified) on
+/// a miss.
+[[nodiscard]] bool lookup_encoded(const Digest128& key, std::vector<std::uint8_t>& out);
+
+/// Stores already-encoded result bytes under `key` (the cache may
+/// reject or later evict them; a lookup then simply misses).
+void publish_encoded(const Digest128& key, const std::vector<std::uint8_t>& bytes);
 
 /// core::sweep_eq4, memoized.
 [[nodiscard]] std::vector<core::SweepPoint> sweep_eq4_cached(const core::Eq4Inputs& inputs,

@@ -46,8 +46,8 @@ struct RiskResult final {
 /// C_tr of scenario `index` at density s_d: one lognormal/clamped-normal
 /// draw of the eq.-4 inputs priced through the cost model.  A pure
 /// function of (inputs, s_d, seed, index) -- the same scenario no matter
-/// which thread, grid point, or campaign chunk evaluates it.  This is
-/// the unit kernel monte_carlo_cost and core::RiskCampaign both run.
+/// which thread, grid point, or campaign chunk evaluates it.  The
+/// scalar oracle of risk_sample_cost_batch, which every risk form runs.
 [[nodiscard]] double risk_sample_cost(const UncertainInputs& inputs, double s_d,
                                       std::uint64_t seed, std::uint64_t index);
 
@@ -57,8 +57,9 @@ struct RiskResult final {
 /// scenarios -- the eq.-6 pow() terms, validation, the seed derivation
 /// -- and draws the per-scenario uniforms through the vectorized
 /// rng_batch columns; only the transcendental tail (log/sincos/exp of
-/// the Gaussian draws) stays scalar, in all paths.  This is the kernel
-/// monte_carlo_cost and robust_sd actually run per chunk.
+/// the Gaussian draws) stays scalar, in all paths.  One call per
+/// chunk is the only chunk body of every risk form: monte_carlo_cost,
+/// robust_sd, monte_carlo_cost_partial and RiskCampaign::run_chunk.
 void risk_sample_cost_batch(const UncertainInputs& inputs, double s_d, std::uint64_t seed,
                             std::uint64_t index0, std::size_t n, double* out);
 
@@ -71,6 +72,8 @@ void risk_sample_cost_batch_at(exec::SimdLevel level, const UncertainInputs& inp
 /// Distribution summary over an explicit cost-sample vector (needs >= 2
 /// samples): exactly the reduction monte_carlo_cost applies, exposed so
 /// partial campaigns summarize their completed samples identically.
+/// The percentiles are order statistics found by selection, bitwise
+/// what sorting and interpolating would give.
 [[nodiscard]] RiskResult summarize_cost_samples(std::vector<double> costs,
                                                 const UncertainInputs& inputs,
                                                 double die_budget = 0.0);

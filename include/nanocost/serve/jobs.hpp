@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,11 @@ struct StatsReport final {
   std::vector<std::uint8_t> stats;      ///< NCSTAT01 (obs::decode_stats)
 };
 
+/// The digest clients print for a response's result bytes: their
+/// FNV-1a as 16 hex digits, or "-" when there are none (an error or
+/// shed response carries nothing to digest).
+[[nodiscard]] std::string result_digest(const std::vector<std::uint8_t>& result);
+
 // ---- Payload codecs -----------------------------------------------------
 // encode_payload produces the NCWIRE01 payload for the matching frame
 // type; each decode_* throws std::runtime_error on truncation, corrupt
@@ -212,9 +218,20 @@ struct StatsReport final {
 // Light jobs run synchronously on a worker thread; campaigns go through
 // the server's admission queue instead (serve/server.cpp).
 
-/// Runs an eq4 sweep through the memoized entry point.  Never partial
-/// (the sweep is cheap and atomic).
-[[nodiscard]] Response execute(const Eq4Job& job, exec::ThreadPool* pool);
+/// Answers an eq4 job from the process-wide result cache: the kOk
+/// response carrying the stored bytes under `key` (job_key(job)), field
+/// for field what execute() returned when it computed them.
+/// std::nullopt on a miss.  No decode, no compute -- cheap enough for a
+/// connection's reader thread.
+[[nodiscard]] std::optional<Response> cached_response(const Eq4Job& job,
+                                                      const cache::Digest128& key);
+
+/// Runs an eq4 sweep the cache missed: core::sweep_eq4, encoded once,
+/// published to the result cache under `key` (job_key(job)), and
+/// answered with those same bytes.  Never partial (the sweep is cheap
+/// and atomic).
+[[nodiscard]] Response execute(const Eq4Job& job, const cache::Digest128& key,
+                               exec::ThreadPool* pool);
 
 /// Runs the risk Monte-Carlo under `budget_ms` (0 = no deadline) via
 /// the deadline-aware partial entry point: a complete run returns

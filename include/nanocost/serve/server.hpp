@@ -7,7 +7,9 @@
 //   * light jobs (eq4 sweeps, risk Monte-Carlo) dispatch to a small
 //     worker pool, each under the per-request budget via the
 //     Deadline/CancelToken hierarchy; a slow request returns a typed
-//     resumable partial, never a hung connection;
+//     resumable partial, never a hung connection.  An eq4 sweep the
+//     result cache already holds is answered on the connection's
+//     reader thread with the stored bytes, never queued;
 //   * campaigns are admitted synchronously -- in arrival order -- into
 //     a robust::CampaignQueue, so overload sheds or degrades
 //     deterministically (acceptance depends only on the submission

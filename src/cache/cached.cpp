@@ -10,48 +10,47 @@ namespace nanocost::cache {
 
 namespace {
 
-void count_hit() {
+void count_lookup(bool hit) {
   if (obs::metrics_enabled()) {
     static obs::Counter& hits = obs::counter("cache.hits");
-    hits.add(1);
-  }
-}
-
-void count_miss(std::size_t inserted_bytes) {
-  if (obs::metrics_enabled()) {
     static obs::Counter& misses = obs::counter("cache.misses");
-    static obs::Counter& bytes = obs::counter("cache.insert_bytes");
-    misses.add(1);
-    bytes.add(static_cast<std::uint64_t>(inserted_bytes));
+    (hit ? hits : misses).add(1);
   }
 }
 
 /// The one hit-or-compute shape every cached spelling instantiates:
-/// lookup, decode on hit; compute, encode, insert, return the computed
+/// lookup, decode on hit; compute, encode, publish, return the computed
 /// value on miss.  `compute` runs outside any lock.
 template <typename Decode, typename Compute>
 auto hit_or_compute(const Digest128& key, Decode decode, Compute compute) {
   std::vector<std::uint8_t> blob;
-  bool hit = false;
-  {
-    obs::ObsSpan span("cache.lookup");
-    span.arg("key_hi", key.hi);
-    hit = global_result_cache().lookup(key, blob);
-    span.arg("hit", hit ? 1 : 0);
-  }
-  if (hit) {
-    count_hit();
-    return decode(blob);
-  }
+  if (lookup_encoded(key, blob)) return decode(blob);
   auto result = compute();
-  std::vector<std::uint8_t> encoded = encode(result);
-  const std::size_t bytes = encoded.size();
-  global_result_cache().insert(key, encoded);
-  count_miss(bytes);
+  publish_encoded(key, encode(result));
   return result;
 }
 
 }  // namespace
+
+bool lookup_encoded(const Digest128& key, std::vector<std::uint8_t>& out) {
+  bool hit = false;
+  {
+    obs::ObsSpan span("cache.lookup");
+    span.arg("key_hi", key.hi);
+    hit = global_result_cache().lookup(key, out);
+    span.arg("hit", hit ? 1 : 0);
+  }
+  count_lookup(hit);
+  return hit;
+}
+
+void publish_encoded(const Digest128& key, const std::vector<std::uint8_t>& bytes) {
+  global_result_cache().insert(key, bytes);
+  if (obs::metrics_enabled()) {
+    static obs::Counter& inserted = obs::counter("cache.insert_bytes");
+    inserted.add(static_cast<std::uint64_t>(bytes.size()));
+  }
+}
 
 std::vector<core::SweepPoint> sweep_eq4_cached(const core::Eq4Inputs& inputs, double lo,
                                                double hi, int steps, exec::ThreadPool* pool) {

@@ -21,12 +21,33 @@ namespace {
 /// which the risk.samples FiniteGuard then catches by name.
 constexpr robust::FaultSite kSampleFaultSite{"risk.sample"};
 
-double percentile(std::vector<double>& sorted, double q) {
-  const double idx = q * (static_cast<double>(sorted.size()) - 1.0);
+/// Linear-interpolated q-quantile of `v` by order-statistic selection
+/// instead of a full sort.  The interpolation reads two order
+/// statistics, lo = floor(q (n-1)) and lo + 1: nth_element places the
+/// first, and the second is the minimum of everything above it -- the
+/// very elements a sort would put at those indices, so the result is
+/// bitwise the sort-then-interpolate value (for non-NaN samples).
+///
+/// `first` carries selection state across calls with non-decreasing q
+/// on the same vector: [0, first) already holds the `first` smallest
+/// values and v[first - 1] sits at its sorted index, so a later call
+/// partitions only [first, n).  Start a vector's calls with first = 0.
+double select_quantile(std::vector<double>& v, std::size_t& first, double q) {
+  const double idx = q * (static_cast<double>(v.size()) - 1.0);
   const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double t = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - t) + sorted[hi] * t;
+  // lo < first only when lo == first - 1, the index the previous call
+  // already selected.
+  if (lo >= first) {
+    std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(first),
+                     v.begin() + static_cast<std::ptrdiff_t>(lo), v.end());
+    first = lo + 1;
+  }
+  const double at_lo = v[lo];
+  const double at_hi =
+      hi == lo ? at_lo : *std::min_element(v.begin() + static_cast<std::ptrdiff_t>(hi), v.end());
+  return at_lo * (1.0 - t) + at_hi * t;
 }
 
 /// Samples per parallel chunk; the chunk grid depends only on the
@@ -200,10 +221,10 @@ RiskResult summarize_cost_samples(std::vector<double> costs, const UncertainInpu
   double ss = 0.0;
   for (const double c : costs) ss += (c - result.mean) * (c - result.mean);
   result.stddev = std::sqrt(ss / static_cast<double>(costs.size() - 1));
-  std::sort(costs.begin(), costs.end());
-  result.p10 = percentile(costs, 0.10);
-  result.p50 = percentile(costs, 0.50);
-  result.p90 = percentile(costs, 0.90);
+  std::size_t selected = 0;  // ascending q: each selection narrows the next
+  result.p10 = select_quantile(costs, selected, 0.10);
+  result.p50 = select_quantile(costs, selected, 0.50);
+  result.p90 = select_quantile(costs, selected, 0.90);
   result.prob_over_budget =
       die_budget > 0.0 ? static_cast<double>(over) / static_cast<double>(costs.size())
                        : 0.0;
@@ -251,8 +272,9 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
         for (std::int64_t i = begin; i < end; ++i) {
           std::vector<double> costs =
               sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool);
-          std::sort(costs.begin(), costs.end());
-          quantile_cost[static_cast<std::size_t>(i)] = percentile(costs, quantile);
+          std::size_t selected = 0;
+          quantile_cost[static_cast<std::size_t>(i)] =
+              select_quantile(costs, selected, quantile);
         }
       });
 

@@ -48,10 +48,8 @@ std::uint64_t RiskCampaign::config_fingerprint() const {
 void RiskCampaign::run_chunk(std::int64_t begin, std::int64_t end,
                              std::vector<std::uint8_t>& blob) const {
   std::vector<double> costs(static_cast<std::size_t>(end - begin));
-  for (std::int64_t i = begin; i < end; ++i) {
-    costs[static_cast<std::size_t>(i - begin)] =
-        risk_sample_cost(inputs_, s_d_, seed_, static_cast<std::uint64_t>(i));
-  }
+  risk_sample_cost_batch(inputs_, s_d_, seed_, static_cast<std::uint64_t>(begin), costs.size(),
+                         costs.data());
   // A NaN here (model escape or injected poison) fails the chunk, which
   // the engine retries or quarantines -- never serialized.
   robust::check_finite_range(costs.data(), costs.size(), "risk.sample_chunk");
@@ -108,10 +106,8 @@ PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, 
   const exec::LoopStatus status = exec::parallel_for_cancellable(
       pool, samples, RiskCampaign::kGrain, token,
       [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          costs[static_cast<std::size_t>(i)] =
-              risk_sample_cost(inputs, s_d, seed, static_cast<std::uint64_t>(i));
-        }
+        risk_sample_cost_batch(inputs, s_d, seed, static_cast<std::uint64_t>(begin),
+                               static_cast<std::size_t>(end - begin), costs.data() + begin);
       });
 
   PartialRisk out;

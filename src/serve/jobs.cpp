@@ -1,6 +1,9 @@
 #include "nanocost/serve/jobs.hpp"
 
+#include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "nanocost/cache/cached.hpp"
@@ -8,6 +11,7 @@
 #include "nanocost/cache/key.hpp"
 #include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/robust/cancel.hpp"
+#include "nanocost/robust/fault_injection.hpp"
 
 namespace nanocost::serve {
 
@@ -109,6 +113,15 @@ const char* response_status_name(ResponseStatus s) noexcept {
       return "error";
   }
   return "unknown";
+}
+
+std::string result_digest(const std::vector<std::uint8_t>& result) {
+  if (result.empty()) return "-";
+  const std::uint64_t h = robust::fnv1a(
+      std::string_view(reinterpret_cast<const char*>(result.data()), result.size()));
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
 }
 
 // ---- Payload codecs -----------------------------------------------------
@@ -344,14 +357,31 @@ cache::Digest128 job_key(const CampaignJob& job) {
 
 // ---- Execution ----------------------------------------------------------
 
-Response execute(const Eq4Job& job, exec::ThreadPool* pool) {
+namespace {
+
+/// The one shape of an eq4 response, shared by the hit and miss paths
+/// so the two are equal field by field.
+Response eq4_response(const Eq4Job& job, std::vector<std::uint8_t> encoded_points) {
   Response r;
   r.request_id = job.request_id;
-  const std::vector<core::SweepPoint> points =
-      cache::sweep_eq4_cached(job.inputs, job.lo, job.hi, job.steps, pool);
-  r.result = cache::encode(points);
+  r.result = std::move(encoded_points);
   r.frontier_chunks = job.steps;
   return r;
+}
+
+}  // namespace
+
+std::optional<Response> cached_response(const Eq4Job& job, const cache::Digest128& key) {
+  std::vector<std::uint8_t> bytes;
+  if (!cache::lookup_encoded(key, bytes)) return std::nullopt;
+  return eq4_response(job, std::move(bytes));
+}
+
+Response execute(const Eq4Job& job, const cache::Digest128& key, exec::ThreadPool* pool) {
+  std::vector<std::uint8_t> bytes =
+      cache::encode(core::sweep_eq4(job.inputs, job.lo, job.hi, job.steps, pool));
+  cache::publish_encoded(key, bytes);
+  return eq4_response(job, std::move(bytes));
 }
 
 Response execute(const RiskJob& job, double budget_ms, exec::ThreadPool* pool) {

@@ -253,16 +253,37 @@ void count_tenant_shed(const std::string& tenant) {
   }
 }
 
-/// Latency bookkeeping for one answered job request (response already
-/// written): the overall serve.request_us histogram -- whose count is
-/// exactly the job responses served -- plus the per-type x per-outcome
-/// ladder.  Ping/stats/trace frames are deliberately not recorded.
-void record_latency(JobKind kind, ResponseStatus status, std::uint64_t start_us) {
+/// What a job response needs for its latency bookkeeping: which ladder
+/// row, and the dispatch time it is measured from.
+struct JobClock {
+  JobKind kind;
+  std::uint64_t start_us;
+};
+
+/// Latency bookkeeping for one answered job request, taken just before
+/// its response frame is written: the overall serve.request_us
+/// histogram -- whose count is exactly the job responses served -- plus
+/// the per-type x per-outcome ladder.  Recording before the write means
+/// a client holding its response can never scrape a count that misses
+/// it.  Ping/stats/trace frames are deliberately not recorded.
+void record_latency(const JobClock& clock, ResponseStatus status) {
   if (!obs::metrics_enabled()) return;
   const std::uint64_t now = now_us();
-  const std::uint64_t elapsed = now > start_us ? now - start_us : 0;
+  const std::uint64_t elapsed = now > clock.start_us ? now - clock.start_us : 0;
   request_latency_hist().record(elapsed);
-  job_latency_hist(kind, status).record(elapsed);
+  job_latency_hist(clock.kind, status).record(elapsed);
+}
+
+/// A kError response is honest about having no result: nothing
+/// completed, no frontier.
+Response error_response(std::uint64_t request_id, std::string message) {
+  Response r;
+  r.request_id = request_id;
+  r.status = ResponseStatus::kError;
+  r.message = std::move(message);
+  r.completeness = 0.0;
+  r.frontier_chunks = 0;
+  return r;
 }
 
 }  // namespace
@@ -346,11 +367,17 @@ struct Server::Impl {
 
   // ---- wire output -----------------------------------------------------
 
-  void send_response(const std::shared_ptr<Connection>& conn, const Response& response) {
+  /// Writes one response frame.  Job responses pass their `clock`, and
+  /// their latency is recorded under the write lock just before the
+  /// frame goes out, if the connection is still alive.
+  void send_response(const std::shared_ptr<Connection>& conn, const Response& response,
+                     const std::optional<JobClock>& clock = std::nullopt) {
     if (conn->dead.load(std::memory_order_acquire)) return;
     const std::vector<std::uint8_t> payload = encode_payload(response);
     try {
       std::lock_guard<std::mutex> lk(conn->write_mu);
+      if (conn->dead.load(std::memory_order_acquire)) return;
+      if (clock) record_latency(*clock, response.status);
       write_frame(*conn->stream, FrameType::kResponse, payload);
       requests_served.fetch_add(1, std::memory_order_relaxed);
       count_bytes_out(payload.size());
@@ -439,14 +466,14 @@ struct Server::Impl {
     try {
       robust::inject(kDispatchSite, dispatch_index.fetch_add(1, std::memory_order_relaxed));
     } catch (const robust::FaultInjected& e) {
-      Response r;
-      r.request_id = request_id;
-      r.status = ResponseStatus::kError;
-      r.message = std::string("injected fault: ") + e.what() + "; resubmit";
-      send_response(conn, r);
+      std::optional<JobClock> clock;
       if (const std::optional<JobKind> kind = job_kind_of(frame.type)) {
-        record_latency(*kind, r.status, start_us);
+        clock = JobClock{*kind, start_us};
       }
+      send_response(conn,
+                    error_response(request_id,
+                                   std::string("injected fault: ") + e.what() + "; resubmit"),
+                    clock);
       return true;
     }
     switch (frame.type) {
@@ -563,11 +590,9 @@ struct Server::Impl {
   bool handle_stats(const std::shared_ptr<Connection>& conn, const Frame& frame,
                     std::uint64_t request_id) {
     if (frame.payload.size() != 8) {
-      Response r;
-      r.request_id = request_id;
-      r.status = ResponseStatus::kError;
-      r.message = "invalid stats request: payload must be exactly the u64 request id";
-      send_response(conn, r);
+      send_response(conn,
+                    error_response(request_id, "invalid stats request: payload must be "
+                                               "exactly the u64 request id"));
       return true;
     }
     StatsReport sr;
@@ -598,9 +623,9 @@ struct Server::Impl {
     Response r;
     r.request_id = request_id;
     if (frame.payload.size() != 8) {
-      r.status = ResponseStatus::kError;
-      r.message = "invalid trace request: payload must be exactly the u64 request id";
-      send_response(conn, r);
+      send_response(conn,
+                    error_response(request_id, "invalid trace request: payload must be "
+                                               "exactly the u64 request id"));
       return true;
     }
     if (start) {
@@ -608,8 +633,7 @@ struct Server::Impl {
       {
         std::lock_guard<std::mutex> lk(mu);
         if (trace_armed) {
-          r.status = ResponseStatus::kError;
-          r.message = "a remote trace capture is already armed; stop it first";
+          r = error_response(request_id, "a remote trace capture is already armed; stop it first");
         } else {
           const std::string dir = options.artifact_dir.empty()
                                       ? std::filesystem::temp_directory_path().string()
@@ -632,8 +656,7 @@ struct Server::Impl {
     {
       std::lock_guard<std::mutex> lk(mu);
       if (!trace_armed) {
-        r.status = ResponseStatus::kError;
-        r.message = "no remote trace capture is armed";
+        r = error_response(request_id, "no remote trace capture is armed");
       } else {
         trace_armed = false;
         path = trace_file;
@@ -641,13 +664,11 @@ struct Server::Impl {
     }
     if (!path.empty()) {
       if (!obs::stop_trace()) {
-        r.status = ResponseStatus::kError;
-        r.message = "trace capture failed to write " + path;
+        r = error_response(request_id, "trace capture failed to write " + path);
       } else {
         std::ifstream in(path, std::ios::binary);
         if (!in.is_open()) {
-          r.status = ResponseStatus::kError;
-          r.message = "trace capture wrote no file at " + path;
+          r = error_response(request_id, "trace capture wrote no file at " + path);
         } else {
           std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
                                           std::istreambuf_iterator<char>()};
@@ -655,9 +676,9 @@ struct Server::Impl {
           // for the response envelope.
           constexpr std::size_t kEnvelopeSlack = 64 * 1024;
           if (bytes.size() + kEnvelopeSlack > kMaxPayloadBytes) {
-            r.status = ResponseStatus::kError;
-            r.message = "trace too large to return in-band (" +
-                        std::to_string(bytes.size()) + " bytes); left at " + path;
+            r = error_response(request_id, "trace too large to return in-band (" +
+                                               std::to_string(bytes.size()) +
+                                               " bytes); left at " + path);
           } else {
             r.result = std::move(bytes);
             r.message = "chrome trace json";
@@ -673,8 +694,8 @@ struct Server::Impl {
   bool dispatch_light(const std::shared_ptr<Connection>& conn, const Frame& frame,
                       std::uint64_t request_id, std::uint64_t start_us) {
     LightJob job;
-    const JobKind kind =
-        frame.type == FrameType::kEq4Request ? JobKind::kEq4 : JobKind::kRisk;
+    const JobClock clock{
+        frame.type == FrameType::kEq4Request ? JobKind::kEq4 : JobKind::kRisk, start_us};
     try {
       if (frame.type == FrameType::kEq4Request) {
         job.is_eq4 = true;
@@ -688,13 +709,19 @@ struct Server::Impl {
     } catch (const std::exception& e) {
       // The frame was structurally sound (checksum passed) but the job
       // is semantically invalid: error response, connection lives.
-      Response r;
-      r.request_id = request_id;
-      r.status = ResponseStatus::kError;
-      r.message = std::string("invalid job payload: ") + e.what();
-      send_response(conn, r);
-      record_latency(kind, r.status, start_us);
+      send_response(conn, error_response(request_id,
+                                         std::string("invalid job payload: ") + e.what()),
+                    clock);
       return true;
+    }
+    if (job.is_eq4) {
+      // An eq4 result the cache holds is answered right here on the
+      // reader thread with the stored bytes: no worker hand-off, no
+      // decode/re-encode.  Served risk never enters the cache.
+      if (const std::optional<Response> hit = cached_response(job.eq4, job.key)) {
+        send_response(conn, *hit, clock);
+        return true;
+      }
     }
     {
       std::unique_lock<std::mutex> lk(mu);
@@ -731,12 +758,9 @@ struct Server::Impl {
       sim = std::make_unique<fabsim::FabSimulator>(make_simulator(job));
       key = job_key(job);
     } catch (const std::exception& e) {
-      Response r;
-      r.request_id = request_id;
-      r.status = ResponseStatus::kError;
-      r.message = std::string("invalid campaign job: ") + e.what();
-      send_response(conn, r);
-      record_latency(JobKind::kCampaign, r.status, start_us);
+      send_response(conn,
+                    error_response(request_id, std::string("invalid campaign job: ") + e.what()),
+                    JobClock{JobKind::kCampaign, start_us});
       return true;
     }
     std::size_t slot = 0;
@@ -760,8 +784,7 @@ struct Server::Impl {
                        std::to_string(options.tenant_campaign_quota) + ")";
         shed.completeness = 0.0;
         lk.unlock();
-        send_response(conn, shed);
-        record_latency(JobKind::kCampaign, shed.status, start_us);
+        send_response(conn, shed, JobClock{JobKind::kCampaign, start_us});
         return true;
       }
       auto it = campaign_inflight.find(key);
@@ -823,8 +846,7 @@ struct Server::Impl {
     if (admitted) {
       runner_cv.notify_one();
     } else {
-      send_response(conn, immediate);
-      record_latency(JobKind::kCampaign, immediate.status, start_us);
+      send_response(conn, immediate, JobClock{JobKind::kCampaign, start_us});
     }
     return true;
   }
@@ -844,11 +866,10 @@ struct Server::Impl {
       lk.unlock();
       Response r;
       try {
-        r = job.is_eq4 ? execute(job.eq4, options.pool)
+        r = job.is_eq4 ? execute(job.eq4, job.key, options.pool)
                        : execute(job.risk, options.request_budget_ms, options.pool);
       } catch (const std::exception& e) {
-        r.status = ResponseStatus::kError;
-        r.message = std::string("job failed: ") + e.what();
+        r = error_response(0, std::string("job failed: ") + e.what());
       }
       lk.lock();
       std::vector<Waiter> waiters = std::move(light_inflight[job.key]);
@@ -864,9 +885,8 @@ struct Server::Impl {
       for (std::size_t i = 0; i < waiters.size(); ++i) {
         r.request_id = waiters[i].request_id;
         r.coalesced = i > 0;
-        send_response(waiters[i].conn, r);
+        send_response(waiters[i].conn, r, JobClock{kind, waiters[i].start_us});
         waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-        record_latency(kind, r.status, waiters[i].start_us);
       }
       lk.lock();
     }
@@ -940,6 +960,7 @@ struct Server::Impl {
       } else {
         r.completeness = 0.0;
       }
+      if (r.status == ResponseStatus::kError) r = error_response(0, std::move(r.message));
       inflight_waiters -= static_cast<std::int64_t>(waiters.size());
       if (waiters.size() > 1) {
         coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
@@ -957,9 +978,8 @@ struct Server::Impl {
     for (std::size_t i = 0; i < waiters.size(); ++i) {
       r.request_id = waiters[i].request_id;
       r.coalesced = i > 0;
-      send_response(waiters[i].conn, r);
+      send_response(waiters[i].conn, r, JobClock{JobKind::kCampaign, waiters[i].start_us});
       waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      record_latency(JobKind::kCampaign, r.status, waiters[i].start_us);
     }
   }
 

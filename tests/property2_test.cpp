@@ -97,8 +97,10 @@ INSTANTIATE_TEST_SUITE_P(Pitches, TimingPitch, ::testing::Values(3.0, 10.0, 40.0
 // Floorplan: dead space stays bounded and blocks stay disjoint across
 // seeds and block counts.
 
+// Both fields are 64-bit so the struct has no padding: gtest names each
+// case by a byte dump of the param, and padding bytes are uninitialised.
 struct FloorplanCase {
-  int blocks;
+  std::uint64_t blocks;
   std::uint64_t seed;
 };
 
@@ -109,7 +111,7 @@ TEST_P(FloorplanSweep, PacksTightlyAndLegally) {
   std::vector<floorplan::Block> blocks;
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> area(0.5, 4.0);
-  for (int i = 0; i < n; ++i) {
+  for (std::uint64_t i = 0; i < n; ++i) {
     floorplan::Block b;
     b.name = "b" + std::to_string(i);
     b.area = area(rng);

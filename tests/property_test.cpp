@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/transistor_cost.hpp"
@@ -119,6 +120,10 @@ struct YieldCase {
   const char* model;
   double lambda;
 };
+
+// Names each case by its spec and lambda: the default byte dump would
+// print the string pointer, which moves from build to build.
+void PrintTo(const YieldCase& c, std::ostream* os) { *os << c.model << "@" << c.lambda; }
 
 class YieldBounds : public ::testing::TestWithParam<YieldCase> {};
 

@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
+#include "nanocost/core/risk_campaign.hpp"
+#include "nanocost/exec/thread_pool.hpp"
+#include "nanocost/robust/campaign.hpp"
+#include "nanocost/robust/fault_injection.hpp"
+#include "nanocost/robust/finite_guard.hpp"
 
 namespace nanocost::core {
 namespace {
@@ -87,6 +98,196 @@ TEST(Risk, Validation) {
   EXPECT_THROW(monte_carlo_cost(u, 300.0, 5), std::invalid_argument);
   EXPECT_THROW(robust_sd(u, 0.0, 110.0, 1000.0, 10), std::invalid_argument);
   EXPECT_THROW(robust_sd(u, 0.9, 1000.0, 110.0, 10), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The selection-based summaries against the sort-based reduction they
+// replaced, and the served/campaign risk forms against the direct one.
+
+/// The pre-selection reduction, kept as the oracle: sort everything,
+/// then interpolate between the two straddling order statistics.
+double sorted_percentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double idx = q * (static_cast<double>(v.size()) - 1.0);
+  const auto lo = static_cast<std::size_t>(idx);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double t = idx - static_cast<double>(lo);
+  return v[lo] * (1.0 - t) + v[hi] * t;
+}
+
+/// The whole pre-selection summary, field for field.
+RiskResult sorted_summary(const std::vector<double>& costs, const UncertainInputs& u,
+                          double die_budget) {
+  RiskResult r;
+  double sum = 0.0;
+  int over = 0;
+  for (const double c : costs) {
+    sum += c;
+    if (c * u.nominal.transistors_per_chip > die_budget) ++over;
+  }
+  r.mean = sum / static_cast<double>(costs.size());
+  double ss = 0.0;
+  for (const double c : costs) ss += (c - r.mean) * (c - r.mean);
+  r.stddev = std::sqrt(ss / static_cast<double>(costs.size() - 1));
+  r.p10 = sorted_percentile(costs, 0.10);
+  r.p50 = sorted_percentile(costs, 0.50);
+  r.p90 = sorted_percentile(costs, 0.90);
+  r.prob_over_budget = static_cast<double>(over) / static_cast<double>(costs.size());
+  return r;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_bits(const RiskResult& a, const RiskResult& b) {
+  return std::memcmp(&a, &b, sizeof(RiskResult)) == 0;
+}
+
+TEST(RiskSelection, SummaryEqualsSortOracleBitwise) {
+  const UncertainInputs u = reference();
+  std::mt19937_64 rng(2024);
+  // n = 2 and 3 are the smallest summaries; 11, 21 and 101 put
+  // q (n - 1) on a whole number for every summary quantile.
+  for (const std::size_t n : {2, 3, 4, 5, 10, 11, 21, 101, 128, 1000, 1001, 20000}) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> costs(n);
+      for (double& c : costs) {
+        // Ties: a handful of distinct values, so every selected order
+        // statistic sits inside a run of equal elements.
+        c = ties ? 1e-6 * static_cast<double>(1 + rng() % 4)
+                 : 1e-6 * std::exp(std::normal_distribution<double>(0.0, 0.5)(rng));
+      }
+      const double budget = sorted_percentile(costs, 0.6) * u.nominal.transistors_per_chip;
+      const RiskResult got = summarize_cost_samples(costs, u, budget);
+      const RiskResult want = sorted_summary(costs, u, budget);
+      EXPECT_TRUE(same_bits(got.p10, want.p10)) << "n=" << n << " ties=" << ties;
+      EXPECT_TRUE(same_bits(got.p50, want.p50)) << "n=" << n << " ties=" << ties;
+      EXPECT_TRUE(same_bits(got.p90, want.p90)) << "n=" << n << " ties=" << ties;
+      EXPECT_TRUE(same_bits(got, want)) << "n=" << n << " ties=" << ties;
+    }
+  }
+}
+
+TEST(RiskSelection, RobustSweepQuantileEqualsSortOracleBitwise) {
+  const UncertainInputs u = reference();
+  const double lo = 150.0;
+  const double hi = 2000.0;
+  const int steps = 5;
+  const std::uint64_t seed = 31;
+  // samples = 11 and 21 put q (n - 1) on whole numbers for q = 0.5, 0.9.
+  for (const int samples : {10, 11, 21, 130}) {
+    for (const double q : {0.1, 0.37, 0.5, 0.9}) {
+      const RobustOptimum got = robust_sd(u, q, lo, hi, steps, samples, seed);
+      RobustOptimum want;
+      want.quantile_cost = 1e300;
+      const double ratio = std::log(hi / lo) / (steps - 1);
+      for (int i = 0; i < steps; ++i) {
+        const double s_d = lo * std::exp(ratio * i);
+        std::vector<double> costs(static_cast<std::size_t>(samples));
+        for (int j = 0; j < samples; ++j) {
+          costs[static_cast<std::size_t>(j)] =
+              risk_sample_cost(u, s_d, seed, static_cast<std::uint64_t>(j));
+        }
+        const double cost = sorted_percentile(costs, q);
+        if (cost < want.quantile_cost) {
+          want.quantile_cost = cost;
+          want.s_d = s_d;
+        }
+      }
+      EXPECT_TRUE(same_bits(got.s_d, want.s_d)) << "samples=" << samples << " q=" << q;
+      EXPECT_TRUE(same_bits(got.quantile_cost, want.quantile_cost))
+          << "samples=" << samples << " q=" << q;
+    }
+  }
+}
+
+// Runs at the process's SIMD level; the simd-dispatch CI matrix reruns
+// the suite under every NANOCOST_SIMD level.
+TEST(RiskForms, PartialWithoutTokenEqualsMonteCarloAtEveryThreadCount) {
+  const UncertainInputs u = reference();
+  const int samples = 20000;  // the served size; 156 full chunks + 32
+  const int hw = exec::ThreadPool::default_thread_count();
+  for (const int threads : {1, 2, hw}) {
+    exec::ThreadPool pool(threads);
+    const RiskResult direct = monte_carlo_cost(u, 300.0, samples, 9, 4e7, &pool);
+    const PartialRisk partial = monte_carlo_cost_partial(u, 300.0, samples, 9, 4e7, &pool);
+    EXPECT_FALSE(partial.cancelled);
+    EXPECT_EQ(partial.completed_samples, samples);
+    EXPECT_TRUE(same_bits(partial.result, direct)) << "threads " << threads;
+  }
+}
+
+struct PlanGuard {
+  ~PlanGuard() { robust::clear_fault_plan(); }
+};
+
+/// What one chunk of the scalar per-sample loop -- the chunk body every
+/// risk form ran before the batched kernel -- throws, or "" if it
+/// succeeds.
+std::string scalar_chunk_error(const UncertainInputs& u, double s_d, std::uint64_t seed,
+                               std::int64_t begin, std::int64_t end, const char* guard) {
+  try {
+    std::vector<double> costs;
+    for (std::int64_t i = begin; i < end; ++i) {
+      costs.push_back(risk_sample_cost(u, s_d, seed, static_cast<std::uint64_t>(i)));
+    }
+    robust::check_finite_range(costs.data(), costs.size(), guard);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RiskForms, SampleFaultsFailTheSameChunkWithTheSameError) {
+  const UncertainInputs u = reference();
+  const double s_d = 300.0;
+  const std::int64_t samples = 1000;  // odd tail: the last chunk has 104
+  const std::uint64_t seed = 7;
+  exec::ThreadPool serial(1);
+  for (const robust::FaultKind kind : {robust::FaultKind::kNaN, robust::FaultKind::kThrow}) {
+    PlanGuard guard;
+    robust::FaultPlan plan;
+    plan.seed(3).add("risk.sample", robust::FaultSpec{5e-3, kind, /*transient=*/false, 0});
+    robust::install_fault_plan(plan);
+
+    const RiskCampaign task(u, s_d, samples, seed);
+    robust::CampaignOptions options;
+    options.pool = &serial;
+    options.max_attempts = 1;
+    const robust::CampaignResult result = robust::run_campaign(task, options);
+    std::vector<robust::ChunkFailure> failed = result.quarantined;
+    std::sort(failed.begin(), failed.end(),
+              [](const auto& a, const auto& b) { return a.chunk < b.chunk; });
+    std::size_t next = 0;
+    const std::int64_t chunks = (samples + RiskCampaign::kGrain - 1) / RiskCampaign::kGrain;
+    for (std::int64_t c = 0; c < chunks; ++c) {
+      const std::int64_t begin = c * RiskCampaign::kGrain;
+      const std::int64_t end = std::min(samples, begin + RiskCampaign::kGrain);
+      const std::string want =
+          scalar_chunk_error(u, s_d, seed, begin, end, "risk.sample_chunk");
+      if (want.empty()) {
+        EXPECT_FALSE(result.chunks[static_cast<std::size_t>(c)].empty()) << "chunk " << c;
+        continue;
+      }
+      ASSERT_LT(next, failed.size()) << "chunk " << c << " should fail: " << want;
+      EXPECT_EQ(failed[next].chunk, c);
+      EXPECT_EQ(failed[next].error, want) << "chunk " << c;
+      ++next;
+    }
+    EXPECT_EQ(next, failed.size()) << "a chunk failed that the scalar body completes";
+    EXPECT_GT(next, 0u) << "the plan should poison at least one chunk";
+    EXPECT_LT(next, static_cast<std::size_t>(chunks)) << "and leave at least one intact";
+
+    // The deadline-partial form fails with the first fault of the run:
+    // the lowest firing sample's throw, or the whole-run guard naming
+    // the first NaN -- exactly as the scalar body named it.
+    const std::string want_partial = scalar_chunk_error(u, s_d, seed, 0, samples, "risk.samples");
+    try {
+      (void)monte_carlo_cost_partial(u, s_d, static_cast<int>(samples), seed, 0.0, &serial);
+      ADD_FAILURE() << "a poisoned run must fail";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()), want_partial);
+    }
+  }
 }
 
 }  // namespace

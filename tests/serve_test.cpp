@@ -21,17 +21,21 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "corruption_matrix.hpp"
 #include "nanocost/cache/codec.hpp"
+#include "nanocost/cache/lru.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
+#include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/stats.hpp"
 #include "nanocost/robust/backoff.hpp"
@@ -1654,6 +1658,161 @@ TEST(Resilient, AttemptDeadlineCutsOffAStalledServer) {
   const Response r = rc.submit_and_wait(small_eq4());
   EXPECT_EQ(r.status, ResponseStatus::kOk) << r.message;
   EXPECT_EQ(r.result, direct_eq4_bytes(small_eq4()));
+}
+
+// ---------------------------------------------------------------------------
+// The eq4 fast path: cache hits are answered on the reader thread.
+
+TEST(ReaderHit, WarmEq4ReturnsWhileBothWorkersRunSlowRiskJobs) {
+  PlanGuard guard;
+  // One lane: every risk sample sleeps on its worker's own thread, so a
+  // risk job lasts at least samples * latency.
+  exec::ThreadPool one_lane(1);
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.pool = &one_lane;
+  Server server(options);
+  Client client = make_client(server);
+
+  const Eq4Job eq4 = small_eq4();
+  const Response warm = client.wait(client.submit(eq4));
+  ASSERT_EQ(warm.status, ResponseStatus::kOk) << warm.message;
+
+  constexpr std::int32_t kSamples = 256;
+  constexpr std::uint32_t kLatencyUs = 4000;  // >= ~1 s per risk job
+  robust::FaultPlan plan;
+  plan.add("risk.sample",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, kLatencyUs});
+  robust::install_fault_plan(plan);
+  RiskJob slow_a = small_risk(kSamples);
+  RiskJob slow_b = small_risk(kSamples);
+  slow_b.seed = 2;
+
+  // One connection, so its reader dispatches the two risk jobs first:
+  // a worker-routed eq4 would queue behind them.
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t id_a = client.submit(slow_a);
+  const std::uint64_t id_b = client.submit(slow_b);
+  const Response hit = client.wait(client.submit(eq4));
+  const double hit_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(hit.status, ResponseStatus::kOk) << hit.message;
+  EXPECT_EQ(hit.result, warm.result);
+  const double risk_floor_ms = kSamples * (kLatencyUs / 1000.0);
+  EXPECT_LT(hit_ms, risk_floor_ms / 4) << "the hit waited on a worker";
+
+  const Response ra = client.wait(id_a);
+  const Response rb = client.wait(id_b);
+  const double risk_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_GE(risk_ms, risk_floor_ms);
+  robust::clear_fault_plan();
+  EXPECT_EQ(ra.status, ResponseStatus::kOk) << ra.message;
+  EXPECT_EQ(rb.status, ResponseStatus::kOk) << rb.message;
+  EXPECT_EQ(ra.result, direct_risk_bytes(slow_a));
+  EXPECT_EQ(rb.result, direct_risk_bytes(slow_b));
+}
+
+TEST(ReaderHit, HitEqualsMissFieldByFieldAndCountsExactly) {
+  MetricsGuard metrics;
+  cache::global_result_cache().clear();
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  const Eq4Job job = small_eq4();
+
+  struct Counts {
+    std::uint64_t hits, misses, requests;
+  };
+  const auto counts = [] {
+    const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+    const obs::HistogramSnapshot* h = find_snapshot_histogram(snap, "serve.request_us");
+    return Counts{snapshot_counter(snap, "cache.hits"), snapshot_counter(snap, "cache.misses"),
+                  h == nullptr ? 0 : h->count};
+  };
+  // Latency is recorded before the response is written, so each count
+  // below is final the moment the client holds its response.
+  const Counts c0 = counts();
+  const Response miss = client.wait(client.submit(job));
+  const Counts c1 = counts();
+  const Response hit = client.wait(client.submit(job));
+  const Counts c2 = counts();
+
+  EXPECT_EQ(c1.misses - c0.misses, 1u);
+  EXPECT_EQ(c1.hits - c0.hits, 0u);
+  EXPECT_EQ(c1.requests - c0.requests, 1u);
+  EXPECT_EQ(c2.misses - c1.misses, 0u);
+  EXPECT_EQ(c2.hits - c1.hits, 1u);
+  EXPECT_EQ(c2.requests - c1.requests, 1u);
+
+  ASSERT_EQ(miss.status, ResponseStatus::kOk) << miss.message;
+  EXPECT_EQ(miss.result, direct_eq4_bytes(job));
+  EXPECT_DOUBLE_EQ(miss.completeness, 1.0);
+  EXPECT_EQ(miss.frontier_chunks, job.steps);
+  EXPECT_FALSE(miss.coalesced);
+  EXPECT_NE(hit.request_id, miss.request_id);
+  EXPECT_EQ(hit.status, miss.status);
+  EXPECT_EQ(hit.message, miss.message);
+  EXPECT_EQ(hit.result, miss.result);
+  EXPECT_EQ(hit.completeness, miss.completeness);
+  EXPECT_EQ(hit.frontier_chunks, miss.frontier_chunks);
+  EXPECT_EQ(hit.artifact_hits, miss.artifact_hits);
+  EXPECT_EQ(hit.coalesced, miss.coalesced);
+}
+
+// ---------------------------------------------------------------------------
+// Honest fields: an error response claims nothing completed.
+
+void expect_honest_error(const Response& r, const char* what) {
+  EXPECT_EQ(r.status, ResponseStatus::kError) << what << ": " << r.message;
+  EXPECT_EQ(r.completeness, 0.0) << what;
+  EXPECT_EQ(r.frontier_chunks, 0) << what;
+  EXPECT_TRUE(r.result.empty()) << what;
+  EXPECT_EQ(result_digest(r.result), "-") << what;
+}
+
+TEST(HonestFields, ErrorResponsesReportNothingCompleted) {
+  PlanGuard guard;
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+
+  // Worker failures: both jobs decode, then the kernel rejects them.
+  Eq4Job one_step = small_eq4();
+  one_step.steps = 1;
+  expect_honest_error(client.wait(client.submit(one_step)), "eq4 worker failure");
+  expect_honest_error(client.wait(client.submit(small_risk(5))), "risk worker failure");
+
+  // Dispatch failure.
+  robust::FaultPlan plan;
+  plan.add("serve.dispatch", robust::FaultSpec{1.0, robust::FaultKind::kThrow, false, 0});
+  robust::install_fault_plan(plan);
+  expect_honest_error(client.wait(client.submit(small_risk())), "dispatch fault");
+  robust::clear_fault_plan();
+
+  // Decode failure (yield = 1.5 in a well-formed frame).
+  RawPeer peer(server);
+  Eq4Job bad = small_eq4();
+  bad.request_id = 41;
+  std::vector<std::uint8_t> payload = encode_payload(bad);
+  const double bad_yield = 1.5;
+  std::memcpy(payload.data() + 16, &bad_yield, sizeof(bad_yield));
+  peer.send(encode_frame(FrameType::kEq4Request, payload));
+  MemStream parser(peer.slurp(500));
+  const std::optional<Frame> frame = read_frame(parser);
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->type, FrameType::kResponse);
+  expect_honest_error(decode_response(frame->payload), "invalid payload");
+}
+
+TEST(HonestFields, ResultDigestIsFnv1aHexOrDashWhenEmpty) {
+  EXPECT_EQ(result_digest({}), "-");
+  const std::vector<std::uint8_t> bytes = direct_eq4_bytes(small_eq4());
+  const std::string digest = result_digest(bytes);
+  char want[17];
+  std::snprintf(want, sizeof want, "%016llx",
+                static_cast<unsigned long long>(robust::fnv1a(std::string_view(
+                    reinterpret_cast<const char*>(bytes.data()), bytes.size()))));
+  EXPECT_EQ(digest, want);
+  EXPECT_EQ(digest.size(), 16u);
 }
 
 }  // namespace

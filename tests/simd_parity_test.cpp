@@ -11,11 +11,13 @@
 // kill-probability LUT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "nanocost/core/risk.hpp"
+#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/defect/size_distribution.hpp"
 #include "nanocost/defect/spatial.hpp"
 #include "nanocost/exec/rng.hpp"
@@ -252,6 +254,32 @@ TEST(SimdParity, RiskSampleBatch) {
       core::risk_sample_cost_batch_at(level, u, s_d, 17, 5, n, got.data());
       expect_bitwise_equal(ref, got, "risk_sample_cost_batch", n);
     }
+  }
+}
+
+TEST(SimdParity, RiskCampaignChunkBlobsEqualScalarKernelBits) {
+  // RiskCampaign::run_chunk runs the batched kernel at the process
+  // level; its blob is the little-endian bits of the scalar kernel for
+  // every chunk, including the 104-sample tail of 1000 = 7 * 128 + 104.
+  core::UncertainInputs u;
+  u.nominal.transistors_per_chip = 1e7;
+  u.nominal.n_wafers = 10000.0;
+  u.nominal.yield = units::Probability{0.7};
+  const std::int64_t samples = 1000;
+  const core::RiskCampaign task(u, 300.0, samples, 21);
+  for (std::int64_t begin = 0; begin < samples; begin += task.grain()) {
+    const std::int64_t end = std::min(samples, begin + task.grain());
+    std::vector<std::uint8_t> blob;
+    task.run_chunk(begin, end, blob);
+    std::vector<std::uint8_t> want;
+    for (std::int64_t i = begin; i < end; ++i) {
+      const double c = core::risk_sample_cost(u, 300.0, 21, static_cast<std::uint64_t>(i));
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &c, sizeof bits);
+      for (int b = 0; b < 8; ++b) want.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
+    }
+    expect_bitwise_equal(want, blob, "RiskCampaign::run_chunk",
+                         static_cast<std::size_t>(end - begin));
   }
 }
 
