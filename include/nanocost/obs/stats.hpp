@@ -6,7 +6,9 @@
 // versioned magic, per-entry field tags, every declared length validated
 // against the remaining bytes before any allocation, trailing bytes
 // rejected, and a trailing fnv1a checksum so a single bit flip anywhere
-// after the magic is caught.  One NCSTAT01 blob (little-endian):
+// after the magic is caught.  The blob is an envelope of the one byte
+// codec (bytes/codec.hpp), written and read through it.  One NCSTAT01
+// blob (little-endian):
 //
 //   magic   "NCSTAT01"                      8 bytes
 //   u32     version (kStatVersion)

@@ -140,14 +140,17 @@ __attribute__((target("avx2"), cold, noinline)) inline PinSpan scan_span_avx2(co
                                                               const std::int32_t* pin_gate,
                                                               std::int32_t begin,
                                                               std::int32_t end) {
+  // No lambda wrapper around the quad load: a lambda does not inherit
+  // target("avx2"), and returning __m256 from a non-AVX function changes
+  // the calling convention (GCC -Wpsabi) and crashed under TSan.
   const std::int32_t last = end - 1;
-  const auto quad = [&](std::int32_t i) { return load_pin_quad_avx2(pos, pin_gate, i, last); };
-  const __m256 q0 = quad(begin);
-  const __m256 q1 = quad(begin + 4);
+  const __m256 q0 = load_pin_quad_avx2(pos, pin_gate, begin, last);
+  const __m256 q1 = load_pin_quad_avx2(pos, pin_gate, begin + 4, last);
   __m256 mn = _mm256_min_ps(q0, q1);
   __m256 mx = _mm256_max_ps(q0, q1);
   for (std::int32_t i = begin + 8; i < end; i += 4) {
-    const __m256 q = quad(i);  // clamped: a short final quad re-reads the last pin
+    // clamped: a short final quad re-reads the last pin
+    const __m256 q = load_pin_quad_avx2(pos, pin_gate, i, last);
     mn = _mm256_min_ps(mn, q);
     mx = _mm256_max_ps(mx, q);
   }

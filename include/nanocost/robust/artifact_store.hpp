@@ -13,6 +13,8 @@
 //   i64     payload size
 //   payload bytes
 //   u64     fnv1a(payload)
+// (size, payload and checksum are a sealed section of bytes/codec.hpp,
+// the same shape as an NCCKPT01 record)
 //
 // The same durability contract as checkpoints: stores publish through
 // a temp file plus atomic rename, so a blob either exists whole or not

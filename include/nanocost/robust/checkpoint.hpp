@@ -16,6 +16,11 @@
 //   i64     record count
 //   records i64 chunk_index, i64 blob_size, blob bytes, u64 fnv1a(blob)
 //
+// Each record's size/blob/checksum triple is a sealed section of the
+// one byte codec (bytes/codec.hpp); a save builds the whole file in
+// one ByteWriter and a load reads the file once and parses it with
+// ByteReader.
+//
 // Loading is strict: saves go through a temp file plus atomic rename,
 // so a checkpoint either exists whole or not at all -- any truncation,
 // torn record, out-of-range field, or per-chunk checksum failure is
@@ -28,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,6 +66,16 @@ class CheckpointCorrupt final : public std::runtime_error {
  public:
   explicit CheckpointCorrupt(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// Reads the whole file at `path` into `out`.  Returns false when the
+/// file cannot be opened; throws CheckpointCorrupt on a read error.
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out);
+
+/// Publishes `bytes` at `path` atomically: one write to `path`.tmp,
+/// flush, rename.  `noun` names the file kind in the std::runtime_error
+/// an I/O failure throws.
+void write_file_atomically(const std::string& path, std::span<const std::uint8_t> bytes,
+                           const char* noun);
 
 /// Writes `ckpt` to `path` atomically (temp file + rename) and returns
 /// the number of bytes written.  Throws std::runtime_error on I/O

@@ -1,11 +1,13 @@
 // Job and response schemas of nanocost::serve.
 //
 // A job is the full input closure of one deterministic entry point,
-// flattened into NCWIRE01 payload bytes through the cache codec
-// primitives (cache/codec.hpp): every field explicit, little-endian,
-// floats by IEEE bit pattern.  Decoding is strict -- truncation,
-// corrupt lengths, and trailing garbage throw -- because a job that
-// half-decodes must never half-execute.
+// flattened into NCWIRE01 payload bytes through the one byte codec
+// (bytes/codec.hpp): every field explicit, little-endian, floats by
+// IEEE bit pattern.  Decoding is strict -- truncation, corrupt
+// lengths, out-of-range narrow fields (an i32 or u32 carried in 8
+// bytes), booleans other than 0/1, and trailing garbage throw --
+// because a job that half-decodes must never half-execute, and every
+// accepted payload re-encodes to the bytes that were sent.
 //
 // Three job types mirror the three cached entry-point families:
 //   Eq4Job      -> core::sweep_eq4        (eq. (4) density sweep)

@@ -19,6 +19,10 @@
 // caught by exactly one of the checks above (a magic flip fails the
 // magic compare itself).
 //
+// Length, payload and checksum form a sealed section of the one byte
+// codec (bytes/codec.hpp) whose FNV-1a is seeded with the version and
+// type words; the header is parsed by its strict ByteReader.
+//
 // Frames travel over any byte stream: a Unix-domain socket for the
 // daemon, a pipe pair in tests.  FdStream carries the deterministic
 // fault-injection sites serve.read / serve.write, so I/O failure paths

@@ -1,74 +1,15 @@
 #include "nanocost/cache/codec.hpp"
 
-#include <bit>
-#include <cstddef>
-#include <stdexcept>
+#include "nanocost/bytes/codec.hpp"
 
 namespace nanocost::cache {
 
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::bytes(const std::vector<std::uint8_t>& v) {
-  u64(v.size());
-  out_.insert(out_.end(), v.begin(), v.end());
-}
-
-void ByteWriter::str(std::string_view v) {
-  u64(v.size());
-  out_.insert(out_.end(), v.begin(), v.end());
-}
-
-std::uint8_t ByteReader::u8() {
-  if (pos_ >= blob_.size()) throw std::runtime_error("cache blob truncated");
-  return blob_[pos_++];
-}
-
-std::uint64_t ByteReader::u64() {
-  if (blob_.size() - pos_ < 8 || pos_ > blob_.size()) {
-    throw std::runtime_error("cache blob truncated");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(blob_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::vector<std::uint8_t> ByteReader::bytes() {
-  const std::uint64_t n = u64();
-  if (n > blob_.size() - pos_) throw std::runtime_error("cache blob truncated");
-  std::vector<std::uint8_t> out(blob_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                blob_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-std::string ByteReader::str() {
-  const std::uint64_t n = u64();
-  if (n > blob_.size() - pos_) throw std::runtime_error("cache blob truncated");
-  std::string out(reinterpret_cast<const char*>(blob_.data()) + pos_,
-                  static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-void ByteReader::expect_end() const {
-  if (pos_ != blob_.size()) throw std::runtime_error("cache blob has trailing bytes");
-}
-
 namespace {
 
-/// Length-prefix sanity for vector decoders: a claimed element count
-/// whose payload cannot fit in the blob is corruption, not a request to
-/// allocate terabytes.
-std::size_t checked_count(std::uint64_t count, std::size_t min_elem_bytes,
-                          std::size_t blob_bytes) {
-  if (min_elem_bytes > 0 && count > blob_bytes / min_elem_bytes) {
-    throw std::runtime_error("cache blob truncated");
-  }
-  return static_cast<std::size_t>(count);
-}
+using ByteReader = bytes::ByteReader<>;
+using bytes::ByteWriter;
+
+constexpr std::string_view kContext = "cache blob";
 
 void put_breakdown(ByteWriter& w, const core::Eq4Breakdown& b) {
   w.f64(b.manufacturing.value());
@@ -104,7 +45,7 @@ std::vector<std::uint8_t> encode(const core::RiskResult& r) {
 }
 
 core::RiskResult decode_risk_result(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
+  ByteReader r(blob, kContext);
   core::RiskResult out;
   out.mean = r.f64();
   out.stddev = r.f64();
@@ -124,7 +65,7 @@ std::vector<std::uint8_t> encode(const core::RobustOptimum& r) {
 }
 
 core::RobustOptimum decode_robust_optimum(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
+  ByteReader r(blob, kContext);
   core::RobustOptimum out;
   out.s_d = r.f64();
   out.quantile_cost = r.f64();
@@ -143,8 +84,8 @@ std::vector<std::uint8_t> encode(const std::vector<core::SweepPoint>& r) {
 }
 
 std::vector<core::SweepPoint> decode_sweep_points(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  std::vector<core::SweepPoint> out(checked_count(r.u64(), 56, blob.size()));
+  ByteReader r(blob, kContext);
+  std::vector<core::SweepPoint> out(r.count(r.u64(), 56));
   for (core::SweepPoint& p : out) {
     p.s_d = r.f64();
     p.breakdown = get_breakdown(r);
@@ -167,8 +108,8 @@ std::vector<std::uint8_t> encode(const std::vector<regularity::WindowSweepPoint>
 
 std::vector<regularity::WindowSweepPoint> decode_window_sweep_points(
     const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  std::vector<regularity::WindowSweepPoint> out(checked_count(r.u64(), 32, blob.size()));
+  ByteReader r(blob, kContext);
+  std::vector<regularity::WindowSweepPoint> out(r.count(r.u64(), 32));
   for (regularity::WindowSweepPoint& p : out) {
     p.window = r.i64();
     p.total_windows = r.i64();
@@ -196,9 +137,9 @@ std::vector<std::uint8_t> encode(const fabsim::LotResult& r) {
 }
 
 fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
+  ByteReader r(blob, kContext);
   fabsim::LotResult out;
-  out.wafers.resize(checked_count(r.u64(), 32, blob.size()));
+  out.wafers.resize(r.count(r.u64(), 32));
   for (fabsim::WaferResult& wafer : out.wafers) {
     wafer.gross_dies = r.i64();
     wafer.good_dies = r.i64();
@@ -207,7 +148,7 @@ fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob) {
   }
   out.total_dies = r.i64();
   out.good_dies = r.i64();
-  out.fault_histogram.resize(checked_count(r.u64(), 8, blob.size()));
+  out.fault_histogram.resize(r.count(r.u64(), 8));
   for (std::int64_t& count : out.fault_histogram) count = r.i64();
   r.expect_end();
   return out;
@@ -232,10 +173,13 @@ std::vector<std::uint8_t> encode(const place::MultistartResult& r) {
 }
 
 place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
+  ByteReader r(blob, kContext);
   const std::int32_t rows = r.i32();
   const std::int32_t cols = r.i32();
   const std::int32_t gates = r.i32();
+  // Each gate owes an 8-byte site field: a corrupt count must not size
+  // the placement.
+  (void)r.count(static_cast<std::uint64_t>(gates), 8, "gate count");
   place::Placement placement(rows, cols, gates);
   for (std::int32_t g = 0; g < gates; ++g) placement.assign(g, r.i32());
   place::MultistartResult out{place::PlaceResult{std::move(placement), 0.0, 0.0, 0, 0}, 0, 0,
@@ -246,7 +190,7 @@ place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>
   out.best.moves_accepted = r.i64();
   out.best_start = r.i32();
   out.starts = r.i32();
-  out.start_hpwls.resize(checked_count(r.u64(), 8, blob.size()));
+  out.start_hpwls.resize(r.count(r.u64(), 8));
   for (double& h : out.start_hpwls) h = r.f64();
   r.expect_end();
   return out;

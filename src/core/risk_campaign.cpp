@@ -1,10 +1,11 @@
 #include "nanocost/core/risk_campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/robust/finite_guard.hpp"
@@ -13,17 +14,7 @@ namespace nanocost::core {
 
 namespace {
 
-double bits_to_double(std::uint64_t u) {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
-std::uint64_t double_to_bits(double d) {
-  std::uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
+std::uint64_t double_to_bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 }  // namespace
 
@@ -53,11 +44,11 @@ void RiskCampaign::run_chunk(std::int64_t begin, std::int64_t end,
   // A NaN here (model escape or injected poison) fails the chunk, which
   // the engine retries or quarantines -- never serialized.
   robust::check_finite_range(costs.data(), costs.size(), "risk.sample_chunk");
-  blob.reserve(costs.size() * 8);
-  for (const double c : costs) {
-    const std::uint64_t u = double_to_bits(c);
-    for (int b = 0; b < 8; ++b) blob.push_back(static_cast<std::uint8_t>(u >> (8 * b)));
-  }
+  // Chunk blob layout (bytes/codec.hpp): one f64 per sample, no length.
+  bytes::ByteWriter w;
+  w.reserve(costs.size() * 8);
+  for (const double c : costs) w.f64(c);
+  blob = w.take();
 }
 
 PartialRisk RiskCampaign::assemble(const robust::CampaignResult& result) const {
@@ -67,13 +58,12 @@ PartialRisk RiskCampaign::assemble(const robust::CampaignResult& result) const {
   for (std::size_t c = 0; c < result.chunks.size(); ++c) {
     const auto& blob = result.chunks[c];
     if (blob.empty()) continue;
-    if (blob.size() % 8 != 0) {
-      throw std::runtime_error("risk campaign blob has a torn sample");
-    }
-    for (std::size_t pos = 0; pos < blob.size(); pos += 8) {
-      std::uint64_t u = 0;
-      for (int b = 0; b < 8; ++b) u |= static_cast<std::uint64_t>(blob[pos + b]) << (8 * b);
-      costs.push_back(bits_to_double(u));
+    bytes::ByteReader r(blob, "risk campaign blob");
+    if (blob.size() % 8 != 0) r.fail("has a torn sample");
+    while (r.remaining() > 0) {
+      costs.push_back(r.f64());
+      // run_chunk never serializes a non-finite sample.
+      if (!std::isfinite(costs.back())) r.fail("holds a non-finite sample");
     }
   }
   out.completed_samples = static_cast<std::int64_t>(costs.size());

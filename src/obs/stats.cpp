@@ -1,267 +1,117 @@
 #include "nanocost/obs/stats.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <utility>
+
+#include "nanocost/bytes/codec.hpp"
 
 namespace nanocost::obs {
 
 namespace {
 
-// obs sits below cache in the module graph, so the codec primitives are
-// local rather than borrowed from cache/codec.hpp.  Same conventions:
-// little-endian, floats by IEEE bit pattern, lengths validated against
-// the remaining bytes before any allocation.
-
 constexpr std::uint8_t kTagCounter = 0x01;
 constexpr std::uint8_t kTagGauge = 0x02;
 constexpr std::uint8_t kTagHistogram = 0x03;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Cursor over the blob's body (between magic and checksum).  Every
-/// read checks the remaining byte count first and throws StatError
-/// naming what was being read.
-class StatReader final {
- public:
-  StatReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
-
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return data_[pos_++];
-  }
-
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  double f64(const char* what) {
-    const std::uint64_t bits = u64(what);
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string str(const char* what) {
-    const std::uint64_t len = u64(what);
-    if (len > kMaxStatNameBytes) {
-      throw StatError(std::string("NCSTAT01 ") + what + " declares " +
-                      std::to_string(len) + " bytes (cap " +
-                      std::to_string(kMaxStatNameBytes) + ")");
-    }
-    need(static_cast<std::size_t>(len), what);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
-
- private:
-  void need(std::size_t n, const char* what) const {
-    if (size_ - pos_ < n) {
-      throw StatError(std::string("NCSTAT01 blob truncated reading ") + what + " (" +
-                      std::to_string(size_ - pos_) + " of " + std::to_string(n) +
-                      " bytes left)");
-    }
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+constexpr std::string_view kContext = "NCSTAT01 blob";
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_stats(const MetricsSnapshot& snap) {
-  std::vector<std::uint8_t> out;
-  for (const char c : kStatMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u32(out, kStatVersion);
-  put_u64(out, snap.counters.size());
+  bytes::ByteWriter w;
+  w.magic(kStatMagic);
+  w.u32(kStatVersion);
+  w.u64(snap.counters.size());
   for (const auto& [name, value] : snap.counters) {
-    put_u8(out, kTagCounter);
-    put_str(out, name);
-    put_u64(out, value);
+    w.u8(kTagCounter);
+    w.str(name);
+    w.u64(value);
   }
-  put_u64(out, snap.gauges.size());
+  w.u64(snap.gauges.size());
   for (const auto& [name, value] : snap.gauges) {
-    put_u8(out, kTagGauge);
-    put_str(out, name);
-    put_f64(out, value);
+    w.u8(kTagGauge);
+    w.str(name);
+    w.f64(value);
   }
-  put_u64(out, snap.histograms.size());
+  w.u64(snap.histograms.size());
   for (const HistogramSnapshot& h : snap.histograms) {
     if (h.buckets.size() != h.bounds.size() + 1) {
       throw StatError("NCSTAT01 cannot encode histogram '" + h.name + "': " +
                       std::to_string(h.buckets.size()) + " buckets for " +
                       std::to_string(h.bounds.size()) + " bounds");
     }
-    put_u8(out, kTagHistogram);
-    put_str(out, h.name);
-    put_u64(out, h.bounds.size());
-    for (const std::uint64_t b : h.bounds) put_u64(out, b);
-    for (const std::uint64_t b : h.buckets) put_u64(out, b);
-    put_u64(out, h.count);
-    put_u64(out, h.sum);
-    put_u64(out, h.min);
-    put_u64(out, h.max);
+    w.u8(kTagHistogram);
+    w.str(h.name);
+    w.u64(h.bounds.size());
+    for (const std::uint64_t b : h.bounds) w.u64(b);
+    for (const std::uint64_t b : h.buckets) w.u64(b);
+    w.u64(h.count);
+    w.u64(h.sum);
+    w.u64(h.min);
+    w.u64(h.max);
   }
-  put_u64(out, fnv1a(out.data() + sizeof(kStatMagic), out.size() - sizeof(kStatMagic)));
-  return out;
+  w.seal(sizeof(kStatMagic));
+  return w.take();
 }
 
 MetricsSnapshot decode_stats(const std::vector<std::uint8_t>& blob) {
-  if (blob.size() < sizeof(kStatMagic)) {
-    throw StatError("NCSTAT01 blob truncated before its magic (" +
-                    std::to_string(blob.size()) + " bytes)");
-  }
-  if (std::memcmp(blob.data(), kStatMagic, sizeof(kStatMagic)) != 0) {
-    throw StatError("NCSTAT01 blob has a bad magic header");
-  }
-  // Body = everything between magic and the trailing checksum word.
-  if (blob.size() < sizeof(kStatMagic) + 4 + 8) {
-    throw StatError("NCSTAT01 blob truncated: no room for version and checksum");
-  }
-  StatReader r(blob.data() + sizeof(kStatMagic), blob.size() - sizeof(kStatMagic) - 8);
+  bytes::ByteReader<StatError> r =
+      bytes::open_envelope<StatError>(blob, kStatMagic, kContext);
+  r.version(kStatVersion);
 
-  const std::uint32_t version = r.u32("version");
-  if (version != kStatVersion) {
-    throw StatError("NCSTAT01 blob declares unsupported version " +
-                    std::to_string(version) + " (this decoder speaks " +
-                    std::to_string(kStatVersion) + ")");
-  }
+  const auto expect_tag = [&r](std::uint8_t want, const char* entry) {
+    const std::uint8_t tag = r.u8(entry);
+    if (tag != want) r.fail(std::string(entry) + " has wrong field tag " + std::to_string(tag));
+  };
 
   MetricsSnapshot snap;
-
-  const std::uint64_t n_counters = r.u64("counter count");
-  // tag + name length + value: the smallest possible counter entry.
-  if (n_counters > r.remaining() / (1 + 8 + 8)) {
-    throw StatError("NCSTAT01 blob declares " + std::to_string(n_counters) +
-                    " counters, more than its " + std::to_string(r.remaining()) +
-                    " remaining bytes can hold");
-  }
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    const std::uint8_t tag = r.u8("counter tag");
-    if (tag != kTagCounter) {
-      throw StatError("NCSTAT01 counter entry has wrong field tag " + std::to_string(tag));
-    }
-    std::string name = r.str("counter name");
+  // Smallest possible counter/gauge entry: tag + name length + value.
+  const std::size_t n_counters = r.count(r.u64("counter count"), 1 + 8 + 8, "counter count");
+  for (std::size_t i = 0; i < n_counters; ++i) {
+    expect_tag(kTagCounter, "counter entry");
+    std::string name = r.str("counter name", kMaxStatNameBytes);
     const std::uint64_t value = r.u64("counter value");
     snap.counters.emplace_back(std::move(name), value);
   }
 
-  const std::uint64_t n_gauges = r.u64("gauge count");
-  if (n_gauges > r.remaining() / (1 + 8 + 8)) {
-    throw StatError("NCSTAT01 blob declares " + std::to_string(n_gauges) +
-                    " gauges, more than its " + std::to_string(r.remaining()) +
-                    " remaining bytes can hold");
-  }
-  for (std::uint64_t i = 0; i < n_gauges; ++i) {
-    const std::uint8_t tag = r.u8("gauge tag");
-    if (tag != kTagGauge) {
-      throw StatError("NCSTAT01 gauge entry has wrong field tag " + std::to_string(tag));
-    }
-    std::string name = r.str("gauge name");
+  const std::size_t n_gauges = r.count(r.u64("gauge count"), 1 + 8 + 8, "gauge count");
+  for (std::size_t i = 0; i < n_gauges; ++i) {
+    expect_tag(kTagGauge, "gauge entry");
+    std::string name = r.str("gauge name", kMaxStatNameBytes);
     const double value = r.f64("gauge value");
     snap.gauges.emplace_back(std::move(name), value);
   }
 
-  const std::uint64_t n_histograms = r.u64("histogram count");
   // tag + name length + bound count + one bucket + count/sum/min/max.
-  if (n_histograms > r.remaining() / (1 + 8 + 8 + 8 + 32)) {
-    throw StatError("NCSTAT01 blob declares " + std::to_string(n_histograms) +
-                    " histograms, more than its " + std::to_string(r.remaining()) +
-                    " remaining bytes can hold");
-  }
-  for (std::uint64_t i = 0; i < n_histograms; ++i) {
-    const std::uint8_t tag = r.u8("histogram tag");
-    if (tag != kTagHistogram) {
-      throw StatError("NCSTAT01 histogram entry has wrong field tag " +
-                      std::to_string(tag));
-    }
+  const std::size_t n_histograms =
+      r.count(r.u64("histogram count"), 1 + 8 + 8 + 8 + 32, "histogram count");
+  for (std::size_t i = 0; i < n_histograms; ++i) {
+    expect_tag(kTagHistogram, "histogram entry");
     HistogramSnapshot h;
-    h.name = r.str("histogram name");
+    h.name = r.str("histogram name", kMaxStatNameBytes);
     const std::uint64_t n_bounds = r.u64("histogram bound count");
-    if (n_bounds > kMaxStatBounds || n_bounds + 1 > r.remaining() / 8) {
-      throw StatError("NCSTAT01 histogram '" + h.name + "' declares " +
-                      std::to_string(n_bounds) + " bounds, past the cap or the blob");
+    if (n_bounds > kMaxStatBounds) {
+      r.fail("histogram '" + h.name + "' declares " + std::to_string(n_bounds) +
+             " bounds (cap " + std::to_string(kMaxStatBounds) + ")");
     }
-    h.bounds.reserve(static_cast<std::size_t>(n_bounds));
-    for (std::uint64_t b = 0; b < n_bounds; ++b) {
+    // Each bound brings a bucket: 16 bytes per bound at least.
+    const std::size_t n = r.count(n_bounds, 2 * 8, "histogram bound count");
+    h.bounds.reserve(n);
+    for (std::size_t b = 0; b < n; ++b) {
       h.bounds.push_back(r.u64("histogram bound"));
       if (b > 0 && h.bounds[b] <= h.bounds[b - 1]) {
-        throw StatError("NCSTAT01 histogram '" + h.name +
-                        "' bounds are not strictly ascending");
+        r.fail("histogram '" + h.name + "' bounds are not strictly ascending");
       }
     }
-    h.buckets.reserve(static_cast<std::size_t>(n_bounds) + 1);
-    for (std::uint64_t b = 0; b < n_bounds + 1; ++b) {
-      h.buckets.push_back(r.u64("histogram bucket"));
-    }
+    h.buckets.reserve(n + 1);
+    for (std::size_t b = 0; b <= n; ++b) h.buckets.push_back(r.u64("histogram bucket"));
     h.count = r.u64("histogram count");
     h.sum = r.u64("histogram sum");
     h.min = r.u64("histogram min");
     h.max = r.u64("histogram max");
     snap.histograms.push_back(std::move(h));
   }
-
-  if (r.remaining() != 0) {
-    throw StatError("NCSTAT01 blob has " + std::to_string(r.remaining()) +
-                    " trailing bytes after its last histogram");
-  }
-  const std::uint64_t stored = [&blob] {
-    std::uint64_t v = 0;
-    const std::uint8_t* p = blob.data() + blob.size() - 8;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-  }();
-  const std::uint64_t computed =
-      fnv1a(blob.data() + sizeof(kStatMagic), blob.size() - sizeof(kStatMagic) - 8);
-  if (stored != computed) {
-    throw StatError("NCSTAT01 blob failed its fnv1a checksum (bit flip?)");
-  }
+  r.expect_end();
   return snap;
 }
 

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "nanocost/bytes/codec.hpp"
+
 namespace nanocost::regularity {
 
 using layout::Coord;
@@ -13,15 +15,12 @@ using layout::Rect;
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// FNV-1a seeded with this constant (not the standard offset basis); the
+// seed is kept so pattern hashes are unchanged.
+constexpr std::uint64_t kRectHashSeed = 1469598103934665603ULL;
 
 void hash_value(std::uint64_t& h, std::int64_t v) {
-  auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    h ^= (u >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
+  h = bytes::fnv1a(bytes::to_le(static_cast<std::uint64_t>(v)), h);
 }
 
 std::uint64_t hash_rects(std::vector<Rect>& rects) {
@@ -29,7 +28,7 @@ std::uint64_t hash_rects(std::vector<Rect>& rects) {
     return std::tie(a.layer, a.x0, a.y0, a.x1, a.y1) <
            std::tie(b.layer, b.x0, b.y0, b.x1, b.y1);
   });
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kRectHashSeed;
   for (const Rect& r : rects) {
     hash_value(h, static_cast<std::int64_t>(r.layer));
     hash_value(h, r.x0);

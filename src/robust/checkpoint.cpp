@@ -1,10 +1,10 @@
 #include "nanocost/robust/checkpoint.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <utility>
 
-#include "nanocost/robust/fault_injection.hpp"
+#include "nanocost/bytes/codec.hpp"
 
 namespace nanocost::robust {
 
@@ -19,37 +19,39 @@ struct FileCloser {
 };
 using File = std::unique_ptr<std::FILE, FileCloser>;
 
-bool write_u64(std::FILE* f, std::uint64_t v) {
-  // Serialized little-endian regardless of host order.
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return std::fwrite(buf, 1, 8, f) == 8;
-}
-
-bool write_i64(std::FILE* f, std::int64_t v) {
-  return write_u64(f, static_cast<std::uint64_t>(v));
-}
-
-bool read_u64(std::FILE* f, std::uint64_t& v) {
-  std::uint8_t buf[8];
-  if (std::fread(buf, 1, 8, f) != 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return true;
-}
-
-bool read_i64(std::FILE* f, std::int64_t& v) {
-  std::uint64_t u = 0;
-  if (!read_u64(f, u)) return false;
-  v = static_cast<std::int64_t>(u);
-  return true;
-}
-
-std::uint64_t blob_checksum(const std::vector<std::uint8_t>& blob) {
-  return fnv1a(std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
-}
-
 }  // namespace
+
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
+  File f(std::fopen(path.c_str(), "rb"));
+  if (!f) return false;
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  if (std::ferror(f.get()) != 0) throw CheckpointCorrupt("cannot read " + path);
+  out = std::move(bytes);
+  return true;
+}
+
+void write_file_atomically(const std::string& path, std::span<const std::uint8_t> bytes,
+                           const char* noun) {
+  const std::string tmp = path + ".tmp";
+  {
+    File f(std::fopen(tmp.c_str(), "wb"));
+    if (!f) {
+      throw std::runtime_error(std::string("cannot open ") + noun + " temp file " + tmp);
+    }
+    if (std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size() ||
+        std::fflush(f.get()) != 0) {
+      throw std::runtime_error(std::string("failed writing ") + noun + " " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error(std::string("cannot rename ") + noun + " into place: " + path);
+  }
+}
 
 std::int64_t Checkpoint::completed_chunks() const noexcept {
   std::int64_t n = 0;
@@ -60,124 +62,68 @@ std::int64_t Checkpoint::completed_chunks() const noexcept {
 }
 
 std::size_t save_checkpoint(const std::string& path, const Checkpoint& ckpt) {
-  const std::string tmp = path + ".tmp";
-  std::size_t bytes = sizeof(kMagic) + 4 * 8;  // magic + fingerprint + 3 header ints
-  {
-    File f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) {
-      throw std::runtime_error("cannot open checkpoint temp file " + tmp);
-    }
-    bool ok = std::fwrite(kMagic, 1, sizeof(kMagic), f.get()) == sizeof(kMagic);
-    ok = ok && write_u64(f.get(), ckpt.fingerprint);
-    ok = ok && write_i64(f.get(), ckpt.unit_count);
-    ok = ok && write_i64(f.get(), ckpt.grain);
-    ok = ok && write_i64(f.get(), ckpt.completed_chunks());
-    for (std::size_t c = 0; ok && c < ckpt.chunks.size(); ++c) {
-      const auto& blob = ckpt.chunks[c];
-      if (blob.empty()) continue;
-      ok = write_i64(f.get(), static_cast<std::int64_t>(c));
-      ok = ok && write_i64(f.get(), static_cast<std::int64_t>(blob.size()));
-      ok = ok && std::fwrite(blob.data(), 1, blob.size(), f.get()) == blob.size();
-      ok = ok && write_u64(f.get(), blob_checksum(blob));
-      bytes += 3 * 8 + blob.size();
-    }
-    ok = ok && std::fflush(f.get()) == 0;
-    if (!ok) {
-      throw std::runtime_error("failed writing checkpoint " + tmp);
-    }
+  bytes::ByteWriter w;
+  w.magic(kMagic);
+  w.u64(ckpt.fingerprint);
+  w.i64(ckpt.unit_count);
+  w.i64(ckpt.grain);
+  w.i64(ckpt.completed_chunks());
+  for (std::size_t c = 0; c < ckpt.chunks.size(); ++c) {
+    if (ckpt.chunks[c].empty()) continue;
+    w.i64(static_cast<std::int64_t>(c));
+    w.sealed(ckpt.chunks[c]);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("cannot rename checkpoint into place: " + path);
-  }
-  return bytes;
+  write_file_atomically(path, w.view(), "checkpoint");
+  return w.size();
 }
 
 bool load_checkpoint(const std::string& path, const Checkpoint& expected, Checkpoint& out) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
+  std::vector<std::uint8_t> file;
+  if (!read_file(path, file)) return false;
 
   // Saves are atomic (temp + rename), so damage here was never a valid
-  // checkpoint; validate record sizes against the real file size before
-  // trusting them -- a bit-flipped length field must not drive a huge
-  // allocation or a misaligned parse of the following records.
-  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-    throw CheckpointCorrupt("checkpoint " + path + " is not seekable");
-  }
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0) {
-    throw CheckpointCorrupt("checkpoint " + path + " is not seekable");
-  }
-  std::rewind(f.get());
-
-  char magic[sizeof(kMagic)];
-  if (std::fread(magic, 1, sizeof(magic), f.get()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw CheckpointMismatch("checkpoint " + path + " has a bad magic header");
-  }
+  // checkpoint.  The reader checks every record's declared size against
+  // the bytes remaining before trusting it -- a bit-flipped length
+  // field must not drive a huge allocation or a misaligned parse of
+  // the following records.
+  const std::string context = "checkpoint " + path;
+  bytes::ByteReader<CheckpointCorrupt> r(file, context);
+  r.magic<CheckpointMismatch>(kMagic);
   Checkpoint loaded;
-  std::int64_t records = 0;
-  if (!read_u64(f.get(), loaded.fingerprint) || !read_i64(f.get(), loaded.unit_count) ||
-      !read_i64(f.get(), loaded.grain) || !read_i64(f.get(), records)) {
-    throw CheckpointCorrupt("checkpoint " + path + " has a truncated header");
-  }
+  loaded.fingerprint = r.u64("header");
+  loaded.unit_count = r.i64("header");
+  loaded.grain = r.i64("header");
+  const std::int64_t records = r.i64("header");
   if (loaded.fingerprint != expected.fingerprint ||
       loaded.unit_count != expected.unit_count || loaded.grain != expected.grain) {
-    throw CheckpointMismatch(
-        "checkpoint " + path +
-        " belongs to a different campaign (fingerprint/config mismatch)");
+    throw CheckpointMismatch(context +
+                             " belongs to a different campaign (fingerprint/config mismatch)");
   }
   const std::int64_t n_chunks =
       loaded.grain > 0 ? (loaded.unit_count + loaded.grain - 1) / loaded.grain : 0;
   if (records < 0 || records > n_chunks) {
-    throw CheckpointCorrupt("checkpoint " + path + " declares " + std::to_string(records) +
-                            " records for a " + std::to_string(n_chunks) +
-                            "-chunk campaign");
+    r.fail("declares " + std::to_string(records) + " records for a " +
+           std::to_string(n_chunks) + "-chunk campaign");
   }
   loaded.chunks.assign(static_cast<std::size_t>(n_chunks), {});
 
-  for (std::int64_t r = 0; r < records; ++r) {
-    const auto corrupt = [&](const std::string& why) {
-      return CheckpointCorrupt("checkpoint " + path + " record " + std::to_string(r) +
-                               " is corrupt: " + why);
-    };
-    std::int64_t chunk = 0, size = 0;
-    if (!read_i64(f.get(), chunk) || !read_i64(f.get(), size)) {
-      throw corrupt("truncated record header");
-    }
+  std::string record_context;  // names the record in every diagnostic below
+  for (std::int64_t rec = 0; rec < records; ++rec) {
+    record_context = context + " record " + std::to_string(rec) + " is corrupt:";
+    r.set_context(record_context);
+    const std::int64_t chunk = r.i64("chunk index");
     if (chunk < 0 || chunk >= n_chunks) {
-      throw corrupt("chunk index " + std::to_string(chunk) + " out of range [0, " +
-                    std::to_string(n_chunks) + ")");
+      r.fail("chunk index " + std::to_string(chunk) + " out of range [0, " +
+             std::to_string(n_chunks) + ")");
     }
-    const long here = std::ftell(f.get());
-    // Each record still owes `size` blob bytes plus an 8-byte checksum.
-    if (size < 0 || here < 0 || size > static_cast<std::int64_t>(file_size - here) - 8) {
-      throw corrupt("blob size " + std::to_string(size) +
-                    " exceeds the bytes remaining in the file");
-    }
-    if (!loaded.chunks[static_cast<std::size_t>(chunk)].empty()) {
-      throw corrupt("duplicate record for chunk " + std::to_string(chunk));
-    }
-    std::vector<std::uint8_t> blob(static_cast<std::size_t>(size));
-    if (size > 0 && std::fread(blob.data(), 1, blob.size(), f.get()) != blob.size()) {
-      throw corrupt("truncated blob");
-    }
-    std::uint64_t checksum = 0;
-    if (!read_u64(f.get(), checksum)) {
-      throw corrupt("truncated checksum");
-    }
-    if (checksum != blob_checksum(blob)) {
-      throw corrupt("chunk " + std::to_string(chunk) +
-                    " failed its fnv1a checksum (bit flip?)");
-    }
-    if (blob.empty()) {
-      throw corrupt("chunk " + std::to_string(chunk) + " has an empty blob");
-    }
-    loaded.chunks[static_cast<std::size_t>(chunk)] = std::move(blob);
+    const std::span<const std::uint8_t> blob = r.sealed("chunk blob");
+    std::vector<std::uint8_t>& slot = loaded.chunks[static_cast<std::size_t>(chunk)];
+    if (!slot.empty()) r.fail("duplicate record for chunk " + std::to_string(chunk));
+    if (blob.empty()) r.fail("chunk " + std::to_string(chunk) + " has an empty blob");
+    slot.assign(blob.begin(), blob.end());
   }
-  if (std::ftell(f.get()) != file_size) {
-    throw CheckpointCorrupt("checkpoint " + path + " has trailing bytes after record " +
-                            std::to_string(records));
-  }
+  r.set_context(context);
+  r.expect_end();
   out = std::move(loaded);
   return true;
 }

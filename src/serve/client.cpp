@@ -13,7 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "nanocost/cache/codec.hpp"
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 
 namespace nanocost::serve {
@@ -143,7 +143,7 @@ Frame Client::await_frame(FrameType want, std::uint64_t request_id, const char* 
         // skip uniformly; none may derail the current wait.
         break;
       case FrameType::kErrorFrame: {
-        cache::ByteReader reader(frame->payload);
+        bytes::ByteReader reader(frame->payload, "NCWIRE01 error frame");
         const std::uint64_t id = reader.u64();
         const std::string message = reader.str();
         reader.expect_end();
@@ -185,7 +185,7 @@ Response Client::wait(std::uint64_t request_id) {
 
 StatsReport Client::stats() {
   const std::uint64_t request_id = next_id_++;
-  cache::ByteWriter w;
+  bytes::ByteWriter w;
   w.u64(request_id);
   write_frame(*stream_, FrameType::kStatsRequest, w.take());
   const Frame frame = await_frame(FrameType::kStatsResponse, request_id, "a stats report");
@@ -194,7 +194,7 @@ StatsReport Client::stats() {
 
 Response Client::trace_start() {
   const std::uint64_t request_id = next_id_++;
-  cache::ByteWriter w;
+  bytes::ByteWriter w;
   w.u64(request_id);
   write_frame(*stream_, FrameType::kTraceStart, w.take());
   return wait(request_id);
@@ -202,7 +202,7 @@ Response Client::trace_start() {
 
 Response Client::trace_stop() {
   const std::uint64_t request_id = next_id_++;
-  cache::ByteWriter w;
+  bytes::ByteWriter w;
   w.u64(request_id);
   write_frame(*stream_, FrameType::kTraceStop, w.take());
   return wait(request_id);
@@ -210,7 +210,7 @@ Response Client::trace_stop() {
 
 bool Client::ping() {
   const std::uint64_t request_id = next_id_++;
-  cache::ByteWriter w;
+  bytes::ByteWriter w;
   w.u64(request_id);
   try {
     write_frame(*stream_, FrameType::kPing, w.take());

@@ -6,19 +6,21 @@
 #include <string_view>
 #include <utility>
 
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/cache/cached.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/key.hpp"
 #include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/robust/cancel.hpp"
-#include "nanocost/robust/fault_injection.hpp"
 
 namespace nanocost::serve {
 
 namespace {
 
-using cache::ByteReader;
-using cache::ByteWriter;
+using ByteReader = bytes::ByteReader<>;
+using bytes::ByteWriter;
+
+constexpr std::string_view kContext = "serve job payload";
 
 // Job payloads flatten the unit wrappers to their double values; the
 // strong types are re-entered (and re-validated: Probability throws on
@@ -117,8 +119,7 @@ const char* response_status_name(ResponseStatus s) noexcept {
 
 std::string result_digest(const std::vector<std::uint8_t>& result) {
   if (result.empty()) return "-";
-  const std::uint64_t h = robust::fnv1a(
-      std::string_view(reinterpret_cast<const char*>(result.data()), result.size()));
+  const std::uint64_t h = bytes::fnv1a(result);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
   return hex;
@@ -137,13 +138,13 @@ std::vector<std::uint8_t> encode_payload(const Eq4Job& job) {
 }
 
 Eq4Job decode_eq4_job(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   Eq4Job job;
   job.request_id = r.u64();
   job.inputs = get_eq4_inputs(r);
   job.lo = r.f64();
   job.hi = r.f64();
-  job.steps = r.i32();
+  job.steps = r.i32("steps");
   r.expect_end();
   return job;
 }
@@ -160,12 +161,12 @@ std::vector<std::uint8_t> encode_payload(const RiskJob& job) {
 }
 
 RiskJob decode_risk_job(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   RiskJob job;
   job.request_id = r.u64();
   job.inputs = get_uncertain_inputs(r);
   job.s_d = r.f64();
-  job.samples = r.i32();
+  job.samples = r.i32("samples");
   job.seed = r.u64();
   job.die_budget = r.f64();
   r.expect_end();
@@ -186,7 +187,7 @@ std::vector<std::uint8_t> encode_payload(const CampaignJob& job) {
   w.f64(job.size_q);
   w.f64(job.defect_density_per_cm2);
   w.f64(job.cluster_alpha);
-  w.u8(job.clustered ? 1 : 0);
+  w.boolean(job.clustered);
   w.f64(job.radial_edge_boost);
   w.f64(job.radial_sharpness);
   w.f64(job.wire_width_um);
@@ -200,7 +201,7 @@ std::vector<std::uint8_t> encode_payload(const CampaignJob& job) {
 }
 
 CampaignJob decode_campaign_job(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   CampaignJob job;
   job.request_id = r.u64();
   job.wafer_diameter_mm = r.f64();
@@ -214,13 +215,13 @@ CampaignJob decode_campaign_job(const std::vector<std::uint8_t>& payload) {
   job.size_q = r.f64();
   job.defect_density_per_cm2 = r.f64();
   job.cluster_alpha = r.f64();
-  job.clustered = r.u8() != 0;
+  job.clustered = r.boolean("clustered");
   job.radial_edge_boost = r.f64();
   job.radial_sharpness = r.f64();
   job.wire_width_um = r.f64();
   job.wire_spacing_um = r.f64();
   job.wire_length_um = r.f64();
-  job.wire_count = r.i32();
+  job.wire_count = r.i32("wire_count");
   job.n_wafers = r.i64();
   job.seed = r.u64();
   job.max_chunks = r.i64();
@@ -237,18 +238,17 @@ std::vector<std::uint8_t> encode_payload(const Response& response) {
   w.f64(response.completeness);
   w.i64(response.frontier_chunks);
   w.u64(response.artifact_hits);
-  w.u8(response.coalesced ? 1 : 0);
+  w.boolean(response.coalesced);
   return w.take();
 }
 
 Response decode_response(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   Response response;
   response.request_id = r.u64();
-  const std::uint8_t status = r.u8();
+  const std::uint8_t status = r.u8("status");
   if (status > static_cast<std::uint8_t>(ResponseStatus::kError)) {
-    throw std::runtime_error("serve response declares unknown status code " +
-                             std::to_string(status));
+    r.fail("declares unknown response status code " + std::to_string(status));
   }
   response.status = static_cast<ResponseStatus>(status);
   response.message = r.str();
@@ -256,7 +256,7 @@ Response decode_response(const std::vector<std::uint8_t>& payload) {
   response.completeness = r.f64();
   response.frontier_chunks = r.i64();
   response.artifact_hits = r.u64();
-  response.coalesced = r.u8() != 0;
+  response.coalesced = r.boolean("coalesced");
   r.expect_end();
   return response;
 }
@@ -274,12 +274,12 @@ std::vector<std::uint8_t> encode_payload(const StatsReport& report) {
 }
 
 StatsReport decode_stats_report(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   StatsReport report;
   report.request_id = r.u64();
   report.server_version = r.str();
   report.simd_level = r.str();
-  report.hardware_concurrency = static_cast<std::uint32_t>(r.u64());
+  report.hardware_concurrency = r.wide_u32("hardware_concurrency");
   report.pid = r.u64();
   report.uptime_ms = r.u64();
   report.stats = r.bytes();
@@ -298,13 +298,13 @@ std::vector<std::uint8_t> encode_payload(const HelloRequest& hello) {
 }
 
 HelloRequest decode_hello(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   HelloRequest hello;
   hello.request_id = r.u64();
-  hello.protocol_version = static_cast<std::uint32_t>(r.u64());
+  hello.protocol_version = r.wide_u32("protocol_version");
   hello.build_version = r.str();
   hello.tenant = r.str();
-  hello.attempt = static_cast<std::uint32_t>(r.u64());
+  hello.attempt = r.wide_u32("attempt");
   r.expect_end();
   return hello;
 }
@@ -318,20 +318,17 @@ std::vector<std::uint8_t> encode_payload(const HelloAck& ack) {
 }
 
 HelloAck decode_hello_ack(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kContext);
   HelloAck ack;
   ack.request_id = r.u64();
-  ack.protocol_version = static_cast<std::uint32_t>(r.u64());
+  ack.protocol_version = r.wide_u32("protocol_version");
   ack.build_version = r.str();
   r.expect_end();
   return ack;
 }
 
 std::uint64_t peek_request_id(const std::vector<std::uint8_t>& payload) noexcept {
-  if (payload.size() < 8) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-  return v;
+  return payload.size() < 8 ? 0 : bytes::from_le(payload.data(), 8);
 }
 
 // ---- Coalescing keys ----------------------------------------------------

@@ -27,6 +27,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/key.hpp"
 #include "nanocost/exec/simd.hpp"
@@ -388,7 +389,7 @@ struct Server::Impl {
 
   void send_error_frame(const std::shared_ptr<Connection>& conn, std::uint64_t request_id,
                         const std::string& message) {
-    cache::ByteWriter w;
+    bytes::ByteWriter w;
     w.u64(request_id);
     w.str(message);
     const std::vector<std::uint8_t> payload = w.take();

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "corruption_matrix.hpp"
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/cache/cached.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/hash.hpp"
@@ -102,8 +103,8 @@ TEST(CacheHash, DigestHexRoundTripsAndOrders) {
 // Canonical keys.
 
 TEST(CacheKey, TagHashIsStable) {
-  EXPECT_EQ(cache::tag_hash("s_d"), 0x82f27b195d7d0419ULL);
-  EXPECT_NE(cache::tag_hash("s_d"), cache::tag_hash("sd_"));
+  EXPECT_EQ(bytes::fnv1a("s_d"), 0x82f27b195d7d0419ULL);
+  EXPECT_NE(bytes::fnv1a("s_d"), bytes::fnv1a("sd_"));
 }
 
 TEST(CacheKey, GoldenEntryPointKeys) {
@@ -254,6 +255,30 @@ TEST(CacheCodec, TruncatedAndTrailingBlobsThrow) {
 
 std::vector<std::uint8_t> blob_of(std::size_t n, std::uint8_t fill) {
   return std::vector<std::uint8_t>(n, fill);
+}
+
+TEST(CacheCodec, PlacementI32FieldsRejectOutOfRangeValues) {
+  // A one-gate, one-site multistart result written field by field.
+  const auto blob_with_rows = [](std::int64_t rows) {
+    bytes::ByteWriter w;
+    w.i64(rows);  // rows, widened like every i32
+    w.i32(1);     // cols
+    w.i32(1);     // gates
+    w.i32(0);     // gate 0's site
+    w.f64(2.0);   // initial hpwl
+    w.f64(1.0);   // final hpwl
+    w.i64(10);    // moves tried
+    w.i64(5);     // moves accepted
+    w.i32(0);     // best start
+    w.i32(1);     // starts
+    w.u64(0);     // no per-start hpwls
+    return w.take();
+  };
+  const std::vector<std::uint8_t> good = blob_with_rows(1);
+  EXPECT_EQ(cache::encode(cache::decode_multistart_result(good)), good);
+  // rows = 2^32 + 1 once decoded as 1.
+  EXPECT_THROW((void)cache::decode_multistart_result(blob_with_rows((1LL << 32) + 1)),
+               std::runtime_error);
 }
 
 TEST(CacheLru, HitMissInsertAndStats) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "golden_vectors.hpp"
+
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -314,6 +316,70 @@ TEST(RiskCampaign, NaNPoisonIsCaughtNotAveraged) {
     EXPECT_NE(f.error.find("risk.sample_chunk"), std::string::npos);
   }
   EXPECT_THROW((void)task.assemble(result), std::invalid_argument);
+}
+
+TEST(FabCampaign, ChunkBlobGoldenPinsTheFormat) {
+  const auto sim = make_simulator();
+  const fabsim::FabLotCampaign task(sim, 6, 5);
+  std::vector<std::uint8_t> blob;
+  task.run_chunk(4, 6, blob);
+  EXPECT_EQ(nanocost::testing::to_hex(blob), nanocost::testing::kFabChunkBlobHex);
+
+  // The golden decodes to the plain run's wafers 4 and 5.
+  robust::CampaignResult result;
+  result.chunks.resize(2);
+  result.chunks[1] = nanocost::testing::from_hex(nanocost::testing::kFabChunkBlobHex);
+  const fabsim::PartialLot lot = task.assemble(result);
+  exec::ThreadPool serial(1);
+  const fabsim::LotResult reference = sim.run(6, 5, &serial);
+  for (const std::size_t w : {std::size_t{4}, std::size_t{5}}) {
+    EXPECT_EQ(lot.lot.wafers[w].gross_dies, reference.wafers[w].gross_dies);
+    EXPECT_EQ(lot.lot.wafers[w].good_dies, reference.wafers[w].good_dies);
+    EXPECT_EQ(lot.lot.wafers[w].defects, reference.wafers[w].defects);
+    EXPECT_EQ(lot.lot.wafers[w].defects_on_dies, reference.wafers[w].defects_on_dies);
+  }
+}
+
+TEST(RiskCampaign, ChunkBlobGoldenPinsTheFormat) {
+  const core::RiskCampaign task(risk_reference(), 300.0, 256, 7);
+  std::vector<std::uint8_t> blob;
+  task.run_chunk(128, 132, blob);
+  EXPECT_EQ(nanocost::testing::to_hex(blob), nanocost::testing::kRiskChunkBlobHex);
+}
+
+TEST(FabCampaign, AssembleRejectsImpossibleChunkBlobs) {
+  // Counts run_chunk cannot produce must throw, not reach the lot sums
+  // (a corrupt gross_dies once overflowed total_dies).
+  const auto sim = make_simulator();
+  const fabsim::FabLotCampaign task(sim, 6, 5);
+  const std::vector<std::uint8_t> golden =
+      nanocost::testing::from_hex(nanocost::testing::kFabChunkBlobHex);
+  const auto assemble = [&task](const std::vector<std::uint8_t>& blob) {
+    robust::CampaignResult result;
+    result.chunks = {{}, blob};
+    return task.assemble(result);
+  };
+  EXPECT_NO_THROW((void)assemble(golden));
+  // Each byte is the top byte of an i64 field; flipping 0x80 negates it.
+  for (const std::size_t byte : {std::size_t{7},     // wafer 4 gross_dies
+                                 std::size_t{15},    // wafer 4 good_dies
+                                 std::size_t{31},    // wafer 4 defects_on_dies
+                                 std::size_t{79}}) {  // first histogram bucket
+    std::vector<std::uint8_t> bad = golden;
+    bad[byte] ^= 0x80;
+    EXPECT_THROW((void)assemble(bad), std::runtime_error) << "byte " << byte;
+  }
+}
+
+TEST(RiskCampaign, AssembleRejectsANonFiniteSample) {
+  const core::RiskCampaign task(risk_reference(), 300.0, 256, 7);
+  std::vector<std::uint8_t> blob =
+      nanocost::testing::from_hex(nanocost::testing::kRiskChunkBlobHex);
+  blob[6] = 0xF0;  // sample 0's exponent bits all ones: +Inf or NaN
+  blob[7] = 0x7F;
+  robust::CampaignResult result;
+  result.chunks = {{}, blob};
+  EXPECT_THROW((void)task.assemble(result), std::runtime_error);
 }
 
 TEST(CampaignReport, RendersCompletenessAndQuarantine) {

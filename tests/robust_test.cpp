@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "corruption_matrix.hpp"
+#include "golden_vectors.hpp"
+#include "nanocost/robust/artifact_store.hpp"
 #include "nanocost/robust/checkpoint.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
@@ -26,17 +28,17 @@ TEST(FaultPlan, ParsesTheEnvGrammar) {
   const FaultPlan plan = FaultPlan::parse(
       "fabsim.wafer=1e-3:throw:persistent; risk.sample=0.25:nan ;seed=99");
   EXPECT_EQ(plan.schedule_seed(), 99u);
-  const FaultSpec* wafer = plan.find(fnv1a("fabsim.wafer"));
+  const FaultSpec* wafer = plan.find(bytes::fnv1a("fabsim.wafer"));
   ASSERT_NE(wafer, nullptr);
   EXPECT_DOUBLE_EQ(wafer->rate, 1e-3);
   EXPECT_EQ(wafer->kind, FaultKind::kThrow);
   EXPECT_FALSE(wafer->transient);
-  const FaultSpec* sample = plan.find(fnv1a("risk.sample"));
+  const FaultSpec* sample = plan.find(bytes::fnv1a("risk.sample"));
   ASSERT_NE(sample, nullptr);
   EXPECT_DOUBLE_EQ(sample->rate, 0.25);
   EXPECT_EQ(sample->kind, FaultKind::kNaN);
   EXPECT_TRUE(sample->transient);
-  EXPECT_EQ(plan.find(fnv1a("unknown.site")), nullptr);
+  EXPECT_EQ(plan.find(bytes::fnv1a("unknown.site")), nullptr);
 }
 
 TEST(FaultPlan, RejectsMalformedInput) {
@@ -290,6 +292,36 @@ TEST_F(CheckpointFile, CorruptionMatrixRejectsEveryCell) {
         return v;
       },
       opts);
+}
+
+TEST_F(CheckpointFile, GoldenVectorPinsTheFormat) {
+  // sample() has chunk 1 missing, so the golden also pins how an
+  // incomplete campaign is written: only completed chunks get records.
+  const Checkpoint saved = sample();
+  EXPECT_EQ(save_checkpoint(path_, saved), nanocost::testing::kCheckpointFileHex.size() / 2);
+  EXPECT_EQ(nanocost::testing::to_hex(read_file(path_)), nanocost::testing::kCheckpointFileHex);
+
+  write_file(path_, nanocost::testing::from_hex(nanocost::testing::kCheckpointFileHex));
+  Checkpoint loaded;
+  ASSERT_TRUE(load_checkpoint(path_, saved, loaded));
+  EXPECT_EQ(loaded.chunks, saved.chunks);
+}
+
+TEST_F(CheckpointFile, ArtifactBlobGoldenVectorPinsTheFormat) {
+  const std::string dir = path_ + ".store";
+  const ArtifactStore store(dir);
+  const cache::Digest128 key{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  store.store(key, payload);
+  EXPECT_EQ(nanocost::testing::to_hex(read_file(store.path_for(key))),
+            nanocost::testing::kArtifactBlobHex);
+
+  write_file(store.path_for(key), nanocost::testing::from_hex(nanocost::testing::kArtifactBlobHex));
+  std::vector<std::uint8_t> loaded;
+  ASSERT_TRUE(store.load(key, loaded));
+  EXPECT_EQ(loaded, payload);
+  std::remove(store.path_for(key).c_str());
+  std::remove(dir.c_str());
 }
 
 TEST_F(CheckpointFile, GarbageMagicThrows) {

@@ -19,6 +19,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +32,8 @@
 #include <vector>
 
 #include "corruption_matrix.hpp"
+#include "golden_vectors.hpp"
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/lru.hpp"
 #include "nanocost/core/optimizer.hpp"
@@ -134,7 +137,7 @@ struct ErrorFrame {
 };
 
 ErrorFrame decode_error_frame(const std::vector<std::uint8_t>& payload) {
-  cache::ByteReader r(payload);
+  bytes::ByteReader r(payload);
   ErrorFrame e;
   e.request_id = r.u64();
   e.message = r.str();
@@ -285,6 +288,33 @@ TEST(WireFrame, DiagnosticsNameTheFrameAndOffense) {
   EXPECT_NE(flip_diag.find("checksum"), std::string::npos) << flip_diag;
 }
 
+TEST(WireGolden, PingFramePinsTheFormat) {
+  const std::vector<std::uint8_t> ping =
+      encode_frame(FrameType::kPing, {7, 0, 0, 0, 0, 0, 0, 0});
+  EXPECT_EQ(nanocost::testing::to_hex(ping), nanocost::testing::kWirePingFrameHex);
+  MemStream stream(nanocost::testing::from_hex(nanocost::testing::kWirePingFrameHex));
+  const std::optional<Frame> frame = read_frame(stream);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, FrameType::kPing);
+  EXPECT_EQ(peek_request_id(frame->payload), 7u);
+  EXPECT_FALSE(read_frame(stream).has_value());
+}
+
+TEST(WireGolden, Eq4RequestFramePinsTheFormat) {
+  Eq4Job job = small_eq4();
+  job.request_id = 42;
+  const std::vector<std::uint8_t> bytes = encode_frame(FrameType::kEq4Request, encode_payload(job));
+  EXPECT_EQ(nanocost::testing::to_hex(bytes), nanocost::testing::kWireEq4FrameHex);
+  MemStream stream(nanocost::testing::from_hex(nanocost::testing::kWireEq4FrameHex));
+  const std::optional<Frame> frame = read_frame(stream);
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->type, FrameType::kEq4Request);
+  const Eq4Job back = decode_eq4_job(frame->payload);
+  EXPECT_EQ(back.request_id, 42u);
+  EXPECT_EQ(back.steps, 16);
+  EXPECT_EQ(encode_frame(FrameType::kEq4Request, encode_payload(back)), bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Job payload codecs.
 
@@ -329,6 +359,23 @@ TEST(JobCodecs, RoundTripBitwise) {
   EXPECT_TRUE(r_back.coalesced);
 }
 
+TEST(JobCodecs, ResponseGoldenPinsTheFormat) {
+  Response r;
+  r.request_id = 11;
+  r.status = ResponseStatus::kPartial;
+  r.message = "partial";
+  r.result = {1, 2, 3};
+  r.completeness = 0.5;
+  r.frontier_chunks = 4;
+  r.artifact_hits = 2;
+  r.coalesced = true;
+  EXPECT_EQ(nanocost::testing::to_hex(encode_payload(r)),
+            nanocost::testing::kResponsePayloadHex);
+  const std::vector<std::uint8_t> golden =
+      nanocost::testing::from_hex(nanocost::testing::kResponsePayloadHex);
+  EXPECT_EQ(encode_payload(decode_response(golden)), golden);
+}
+
 TEST(JobCodecs, DecodingIsStrict) {
   const std::vector<std::uint8_t> good = encode_payload(small_risk());
 
@@ -352,6 +399,75 @@ TEST(JobCodecs, DecodingIsStrict) {
 
   EXPECT_EQ(peek_request_id(encode_payload(Eq4Job{.request_id = 77})), 77u);
   EXPECT_EQ(peek_request_id({1, 2, 3}), 0u);
+}
+
+/// Overwrites the 8-byte little-endian field at `offset`.
+void put_u64_at(std::vector<std::uint8_t>& payload, std::size_t offset, std::uint64_t v) {
+  const auto le = bytes::to_le(v);
+  std::copy(le.begin(), le.end(), payload.begin() + static_cast<std::ptrdiff_t>(offset));
+}
+
+TEST(JobCodecs, I32FieldsRejectValuesOutsideInt32) {
+  // Each i32 travels widened to 8 bytes; a value that does not fit must
+  // throw, not wrap (steps = 2^32 + 60 once decoded as a 60-step sweep).
+  std::vector<std::uint8_t> eq4 = encode_payload(small_eq4());
+  const std::size_t steps_at = eq4.size() - 8;  // the last field
+  put_u64_at(eq4, steps_at, (1ULL << 32) + 60);
+  EXPECT_THROW((void)decode_eq4_job(eq4), std::runtime_error);
+  put_u64_at(eq4, steps_at, static_cast<std::uint64_t>(std::int64_t{INT32_MAX}));
+  EXPECT_EQ(decode_eq4_job(eq4).steps, INT32_MAX);  // the boundary still decodes
+  EXPECT_EQ(encode_payload(decode_eq4_job(eq4)), eq4);
+
+  std::vector<std::uint8_t> risk = encode_payload(small_risk());
+  // samples precedes seed and die_budget.
+  put_u64_at(risk, risk.size() - 24, static_cast<std::uint64_t>(std::int64_t{INT32_MIN} - 1));
+  EXPECT_THROW((void)decode_risk_job(risk), std::runtime_error);
+
+  std::vector<std::uint8_t> campaign = encode_payload(small_campaign(1));
+  // wire_count precedes n_wafers, seed and max_chunks.
+  put_u64_at(campaign, campaign.size() - 32, 1ULL << 31);
+  EXPECT_THROW((void)decode_campaign_job(campaign), std::runtime_error);
+}
+
+TEST(JobCodecs, U32FieldsRejectValuesAboveUint32Max) {
+  HelloRequest hello;
+  hello.build_version = "1.2.3";
+  hello.tenant = "acme";
+  std::vector<std::uint8_t> h = encode_payload(hello);
+  put_u64_at(h, h.size() - 8, (1ULL << 32) + 1);  // attempt
+  EXPECT_THROW((void)decode_hello(h), std::runtime_error);
+  h = encode_payload(hello);
+  put_u64_at(h, 8, (1ULL << 32) + kWireVersion);  // protocol_version
+  EXPECT_THROW((void)decode_hello(h), std::runtime_error);
+
+  std::vector<std::uint8_t> ack = encode_payload(HelloAck{});
+  put_u64_at(ack, 8, (1ULL << 32) + kWireVersion);
+  EXPECT_THROW((void)decode_hello_ack(ack), std::runtime_error);
+
+  StatsReport report;
+  report.server_version = "1.0.0";
+  report.simd_level = "avx2";
+  std::vector<std::uint8_t> stats = encode_payload(report);
+  // request id, then two length-prefixed strings.
+  const std::size_t hw_at = 8 + (8 + 5) + (8 + 4);
+  put_u64_at(stats, hw_at, std::uint64_t{UINT32_MAX});
+  EXPECT_EQ(decode_stats_report(stats).hardware_concurrency, UINT32_MAX);
+  put_u64_at(stats, hw_at, std::uint64_t{UINT32_MAX} + 1);
+  EXPECT_THROW((void)decode_stats_report(stats), std::runtime_error);
+}
+
+TEST(JobCodecs, BooleansRejectBytesOtherThanZeroOrOne) {
+  std::vector<std::uint8_t> campaign = encode_payload(small_campaign(1));
+  const std::size_t clustered_at = 8 + 11 * 8;  // request id + 11 f64 fields
+  ASSERT_EQ(campaign[clustered_at], 1);
+  campaign[clustered_at] = 2;  // once decoded as `true`
+  EXPECT_THROW((void)decode_campaign_job(campaign), std::runtime_error);
+  campaign[clustered_at] = 0;
+  EXPECT_FALSE(decode_campaign_job(campaign).clustered);
+
+  std::vector<std::uint8_t> response = encode_payload(Response{});
+  response.back() = 0xFF;  // coalesced is the last byte
+  EXPECT_THROW((void)decode_response(response), std::runtime_error);
 }
 
 TEST(JobKeys, CoalesceOnContentNotRequestId) {
@@ -483,7 +599,7 @@ TEST(ServedConnection, SemanticallyInvalidJobGetsErrorResponseOnALiveConnection)
   std::memcpy(payload.data() + 16, &bad_yield, sizeof(bad_yield));
   peer.send(encode_frame(FrameType::kEq4Request, payload));
   // Prove the connection survived the bad job: a ping after it.
-  cache::ByteWriter w;
+  bytes::ByteWriter w;
   w.u64(99);
   peer.send(encode_frame(FrameType::kPing, w.take()));
 
@@ -979,7 +1095,7 @@ TEST(StatsFrame, MalformedStatsPayloadGetsErrorResponseOnALiveConnection) {
   Server server(ServerOptions{});
   RawPeer peer(server);
   peer.send(encode_frame(FrameType::kStatsRequest, {1, 2, 3}));
-  cache::ByteWriter w;
+  bytes::ByteWriter w;
   w.u64(99);
   peer.send(encode_frame(FrameType::kPing, w.take()));
 
@@ -1434,7 +1550,7 @@ TEST(ClientWait, SkipsStaleOutOfBandFramesUniformly) {
   stale_stats.stats = obs::encode_stats(obs::MetricsSnapshot{});
   push(encode_frame(FrameType::kStatsResponse, encode_payload(stale_stats)));
 
-  cache::ByteWriter stale_ping;
+  bytes::ByteWriter stale_ping;
   stale_ping.u64(999);
   push(encode_frame(FrameType::kPong, stale_ping.take()));
 
@@ -1442,7 +1558,7 @@ TEST(ClientWait, SkipsStaleOutOfBandFramesUniformly) {
   stale_ack.request_id = 999;
   push(encode_frame(FrameType::kHelloAck, encode_payload(stale_ack)));
 
-  cache::ByteWriter stale_error;
+  bytes::ByteWriter stale_error;
   stale_error.u64(999);
   stale_error.str("request 999 failed long ago");
   push(encode_frame(FrameType::kErrorFrame, stale_error.take()));
@@ -1809,7 +1925,7 @@ TEST(HonestFields, ResultDigestIsFnv1aHexOrDashWhenEmpty) {
   const std::string digest = result_digest(bytes);
   char want[17];
   std::snprintf(want, sizeof want, "%016llx",
-                static_cast<unsigned long long>(robust::fnv1a(std::string_view(
+                static_cast<unsigned long long>(bytes::fnv1a(std::string_view(
                     reinterpret_cast<const char*>(bytes.data()), bytes.size()))));
   EXPECT_EQ(digest, want);
   EXPECT_EQ(digest.size(), 16u);
