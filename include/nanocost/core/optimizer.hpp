@@ -47,6 +47,11 @@ struct SweepPoint final {
   Eq4Breakdown breakdown{};
 };
 
+/// The `steps`-point logarithmic grid over [lo, hi] that every s_d
+/// sweep walks.  Throws std::invalid_argument, naming the bound at
+/// fault, unless lo and hi are finite with 0 < lo < hi and steps >= 2.
+[[nodiscard]] std::vector<double> log_grid(double lo, double hi, int steps);
+
 /// Logarithmic sweep of eq. (4) over [lo, hi] with `steps` samples.
 /// Grid points evaluate in parallel on `pool` (null: global pool); the
 /// model is pure, so the sweep is deterministic at any thread count.

@@ -78,6 +78,11 @@ void risk_sample_cost_batch_at(exec::SimdLevel level, const UncertainInputs& inp
                                                 const UncertainInputs& inputs,
                                                 double die_budget = 0.0);
 
+/// Throws std::invalid_argument naming `die_budget` when it is NaN.
+/// Every other value is a budget (<= 0 disables it), so the risk entry
+/// points call this up front instead of reading NaN as "no budget".
+void require_die_budget(double die_budget);
+
 /// Monte-Carlo propagation of the uncertainties through eq. (4) at a
 /// fixed s_d.  `die_budget` (optional, <= 0 disables) sets the
 /// over-budget probability threshold on per-die cost.  Samples are

@@ -28,22 +28,10 @@
 
 namespace nanocost::exec {
 
-/// The next `n` engine outputs, exactly as n next() calls would return
-/// them; the engine advances past the batch.
-void splitmix64_batch(SplitMix64& rng, std::uint64_t* out, std::size_t n);
-void splitmix64_batch_at(SimdLevel level, SplitMix64& rng, std::uint64_t* out, std::size_t n);
-
-/// The next `n` uniform [0, 1) doubles (uniform_unit applied n times).
+/// The next `n` uniform [0, 1) doubles (uniform_unit applied n times);
+/// the engine advances past the batch.
 void uniform_unit_batch(SplitMix64& rng, double* out, std::size_t n);
 void uniform_unit_batch_at(SimdLevel level, SplitMix64& rng, double* out, std::size_t n);
-
-/// The next `n` bounded draws (bounded_u32 applied n times, including
-/// its rejection behaviour: a batch whose lanes could reject re-runs
-/// the affected tail through the scalar path, consuming the identical
-/// stream).  Requires bound >= 1.
-void bounded_u32_batch(SplitMix64& rng, std::uint32_t bound, std::uint32_t* out, std::size_t n);
-void bounded_u32_batch_at(SimdLevel level, SplitMix64& rng, std::uint32_t bound,
-                          std::uint32_t* out, std::size_t n);
 
 /// Task seeds i0..i0+n-1 of SeedSequence::for_task(base, i), batched:
 /// the per-unit seeding of every parallel kernel, which is itself one

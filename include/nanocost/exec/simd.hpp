@@ -2,8 +2,8 @@
 //
 // Every batched kernel in the repo (rng_batch, defect sampling, the
 // kill-probability LUT, the risk sample pricer, the HPWL pin scan)
-// ships a scalar path plus SSE2/AVX2 lanes that are *bitwise identical*
-// to it -- the vector lanes restrict themselves to IEEE-exact
+// ships a scalar path plus AVX2 lanes that are *bitwise identical* to
+// it -- the vector lanes restrict themselves to IEEE-exact
 // operations (add/sub/mul/div/sqrt/min/max and integer arithmetic),
 // which evaluate lane-wise exactly like their scalar counterparts, and
 // everything transcendental stays on scalar libm in all paths.  The
@@ -11,7 +11,7 @@
 // the PR 1-5 determinism contracts (thread-count invariance, cancel
 // frontiers, checkpoint resume) hold at any level.
 //
-// Selection order: NANOCOST_SIMD=scalar|sse2|avx2 if set (clamped to
+// Selection order: NANOCOST_SIMD=scalar|avx2 if set (clamped to
 // what the CPU supports; a malformed value gets one stderr diagnostic,
 // like NANOCOST_METRICS), else the best level cpuid reports.
 #pragma once
@@ -24,8 +24,7 @@ namespace nanocost::exec {
 /// numeric comparison means capability comparison.
 enum class SimdLevel : std::uint8_t {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// The best level this CPU supports (ignores the env override).
@@ -35,7 +34,7 @@ enum class SimdLevel : std::uint8_t {
 /// override).  Resolved once per process and cached.
 [[nodiscard]] SimdLevel simd_level() noexcept;
 
-/// "scalar" / "sse2" / "avx2" -- for logs and BENCH_perf.json.
+/// "scalar" / "avx2" -- for logs and BENCH_perf.json.
 [[nodiscard]] const char* simd_level_name(SimdLevel level) noexcept;
 
 }  // namespace nanocost::exec

@@ -56,15 +56,25 @@ class Roadmap final {
   /// (the paper's "highly unlikely" optimistic scenario relaxed).
   [[nodiscard]] static Roadmap itrs1999_with_cost_escalation(double rate_per_node);
 
-  [[nodiscard]] std::span<const TechnologyNode> nodes() const noexcept { return nodes_; }
-  [[nodiscard]] const TechnologyNode& front() const noexcept { return nodes_.front(); }
-  [[nodiscard]] const TechnologyNode& back() const noexcept { return nodes_.back(); }
+  // The accessors below return views into this roadmap, so they are
+  // deleted on temporaries: `Roadmap::itrs1999().at_year(1999)` would
+  // dangle as soon as the full expression ends.  Bind the roadmap to a
+  // named object first.
+  [[nodiscard]] std::span<const TechnologyNode> nodes() const& noexcept { return nodes_; }
+  [[nodiscard]] const TechnologyNode& front() const& noexcept { return nodes_.front(); }
+  [[nodiscard]] const TechnologyNode& back() const& noexcept { return nodes_.back(); }
 
   /// Node introduced in `year`; throws std::out_of_range if absent.
-  [[nodiscard]] const TechnologyNode& at_year(int year) const;
+  [[nodiscard]] const TechnologyNode& at_year(int year) const&;
 
   /// Node whose half pitch is nearest to `half_pitch`.
-  [[nodiscard]] const TechnologyNode& nearest(units::Nanometers half_pitch) const;
+  [[nodiscard]] const TechnologyNode& nearest(units::Nanometers half_pitch) const&;
+
+  std::span<const TechnologyNode> nodes() const&& = delete;
+  const TechnologyNode& front() const&& = delete;
+  const TechnologyNode& back() const&& = delete;
+  const TechnologyNode& at_year(int year) const&& = delete;
+  const TechnologyNode& nearest(units::Nanometers half_pitch) const&& = delete;
 
   /// Geometric interpolation of the trajectory at an arbitrary year
   /// between the first and last nodes (clamped outside).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nanocost/exec/parallel.hpp"
 
@@ -65,9 +66,15 @@ Optimum optimal_sd(const GeneralizedCostModel& model, double hi) {
       [&model](double s_d) { return model.cost_per_transistor(s_d); }, lo, feasible_hi);
 }
 
-namespace {
-
 std::vector<double> log_grid(double lo, double hi, int steps) {
+  // Named first: an infinite bound otherwise passes 0 < lo < hi and
+  // surfaces later as a NaN grid point blamed on s_d.
+  if (!std::isfinite(lo)) {
+    throw std::invalid_argument("sweep bound lo must be finite, got " + std::to_string(lo));
+  }
+  if (!std::isfinite(hi)) {
+    throw std::invalid_argument("sweep bound hi must be finite, got " + std::to_string(hi));
+  }
   if (!(lo > 0.0 && lo < hi) || steps < 2) {
     throw std::invalid_argument("sweep needs 0 < lo < hi and steps >= 2");
   }
@@ -79,8 +86,6 @@ std::vector<double> log_grid(double lo, double hi, int steps) {
   }
   return xs;
 }
-
-}  // namespace
 
 namespace {
 

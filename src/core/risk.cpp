@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "nanocost/core/optimizer.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/rng_batch.hpp"
@@ -231,9 +232,16 @@ RiskResult summarize_cost_samples(std::vector<double> costs, const UncertainInpu
   return result;
 }
 
+void require_die_budget(double die_budget) {
+  if (std::isnan(die_budget)) {
+    throw std::invalid_argument("risk die_budget must not be NaN (<= 0 disables it)");
+  }
+}
+
 RiskResult monte_carlo_cost(const UncertainInputs& inputs, double s_d, int samples,
                             std::uint64_t seed, double die_budget,
                             exec::ThreadPool* pool) {
+  require_die_budget(die_budget);
   std::vector<double> costs = sample_costs(inputs, s_d, samples, seed, pool);
   // risk -> consumer boundary: a NaN sample (model escape or injected
   // poison) must surface as a named diagnostic, not as a NaN mean that
@@ -255,12 +263,7 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
   if (!(quantile > 0.0 && quantile < 1.0)) {
     throw std::invalid_argument("quantile must be in (0, 1)");
   }
-  if (!(lo > 0.0 && lo < hi) || steps < 2) {
-    throw std::invalid_argument("robust sweep needs 0 < lo < hi and steps >= 2");
-  }
-  const double ratio = std::log(hi / lo) / (steps - 1);
-  std::vector<double> grid(static_cast<std::size_t>(steps));
-  for (int i = 0; i < steps; ++i) grid[static_cast<std::size_t>(i)] = lo * std::exp(ratio * i);
+  const std::vector<double> grid = log_grid(lo, hi, steps);
 
   // Grid points are independent and run in parallel; common random
   // numbers hold because scenario seeds derive from (seed, sample

@@ -24,6 +24,7 @@ RiskCampaign::RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64
   if (samples < 10) {
     throw std::invalid_argument("risk campaign needs at least 10 samples");
   }
+  require_die_budget(die_budget);
 }
 
 std::uint64_t RiskCampaign::config_fingerprint() const {
@@ -91,6 +92,7 @@ PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, 
   if (samples < 10) {
     throw std::invalid_argument("risk analysis needs at least 10 samples");
   }
+  require_die_budget(die_budget);
   const robust::CancelToken token = robust::current_cancel_token();
   std::vector<double> costs(static_cast<std::size_t>(samples));
   const exec::LoopStatus status = exec::parallel_for_cancellable(

@@ -260,8 +260,7 @@ void KillProbabilityLut::evaluate_batch_at(exec::SimdLevel level, const double* 
     return;
   }
 #endif
-  // The SSE2 tier has no gather; the scalar path (already log-free via
-  // the hint table) is the honest fallback for it.
+  // Scalar path: already log-free via the hint table.
   (void)level;
   for (std::size_t i = 0; i < n; ++i) out[i] = evaluate(size_um[i]);
 }

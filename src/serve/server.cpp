@@ -368,6 +368,30 @@ struct Server::Impl {
 
   // ---- wire output -----------------------------------------------------
 
+  /// The one locked frame write.  Under the connection's write lock,
+  /// `admit` runs first and may veto the frame; then the frame goes out
+  /// and its bytes are counted.  A `served` frame -- job responses and
+  /// stats, never pong, hello-ack or error frames -- also counts in
+  /// requests_served.  A failed write marks the connection dead.
+  template <typename Admit>
+  void write_locked(Connection& conn, FrameType type, const std::vector<std::uint8_t>& payload,
+                    bool served, Admit&& admit) {
+    try {
+      std::lock_guard<std::mutex> lk(conn.write_mu);
+      if (!admit()) return;
+      write_frame(*conn.stream, type, payload);
+      if (served) requests_served.fetch_add(1, std::memory_order_relaxed);
+      count_bytes_out(payload.size());
+    } catch (const WireError&) {
+      conn.dead.store(true, std::memory_order_release);
+    }
+  }
+
+  void write_locked(Connection& conn, FrameType type, const std::vector<std::uint8_t>& payload,
+                    bool served = false) {
+    write_locked(conn, type, payload, served, [] { return true; });
+  }
+
   /// Writes one response frame.  Job responses pass their `clock`, and
   /// their latency is recorded under the write lock just before the
   /// frame goes out, if the connection is still alive.
@@ -375,16 +399,11 @@ struct Server::Impl {
                      const std::optional<JobClock>& clock = std::nullopt) {
     if (conn->dead.load(std::memory_order_acquire)) return;
     const std::vector<std::uint8_t> payload = encode_payload(response);
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      if (conn->dead.load(std::memory_order_acquire)) return;
+    write_locked(*conn, FrameType::kResponse, payload, /*served=*/true, [&] {
+      if (conn->dead.load(std::memory_order_acquire)) return false;
       if (clock) record_latency(*clock, response.status);
-      write_frame(*conn->stream, FrameType::kResponse, payload);
-      requests_served.fetch_add(1, std::memory_order_relaxed);
-      count_bytes_out(payload.size());
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
-    }
+      return true;
+    });
   }
 
   void send_error_frame(const std::shared_ptr<Connection>& conn, std::uint64_t request_id,
@@ -392,14 +411,7 @@ struct Server::Impl {
     bytes::ByteWriter w;
     w.u64(request_id);
     w.str(message);
-    const std::vector<std::uint8_t> payload = w.take();
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      write_frame(*conn->stream, FrameType::kErrorFrame, payload);
-      count_bytes_out(payload.size());
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
-    }
+    write_locked(*conn, FrameType::kErrorFrame, w.take());
   }
 
   // ---- reader / dispatch -----------------------------------------------
@@ -478,16 +490,9 @@ struct Server::Impl {
       return true;
     }
     switch (frame.type) {
-      case FrameType::kPing: {
-        try {
-          std::lock_guard<std::mutex> lk(conn->write_mu);
-          write_frame(*conn->stream, FrameType::kPong, frame.payload);
-          count_bytes_out(frame.payload.size());
-        } catch (const WireError&) {
-          conn->dead.store(true, std::memory_order_release);
-        }
+      case FrameType::kPing:
+        write_locked(*conn, FrameType::kPong, frame.payload);
         return true;
-      }
       case FrameType::kEq4Request:
       case FrameType::kRiskRequest:
         return dispatch_light(conn, frame, request_id, start_us);
@@ -572,17 +577,10 @@ struct Server::Impl {
     ack.request_id = hello.request_id;
     ack.protocol_version = kWireVersion;
     ack.build_version = kServeVersion;
-    const std::vector<std::uint8_t> payload = encode_payload(ack);
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      // Deliberately not counted in requests_served or the latency
-      // histograms: those track job traffic, and a handshake is
-      // connection plumbing.
-      write_frame(*conn->stream, FrameType::kHelloAck, payload);
-      count_bytes_out(payload.size());
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
-    }
+    // Deliberately not counted in requests_served or the latency
+    // histograms: those track job traffic, and a handshake is
+    // connection plumbing.
+    write_locked(*conn, FrameType::kHelloAck, encode_payload(ack));
     return true;
   }
 
@@ -607,15 +605,7 @@ struct Server::Impl {
             std::chrono::steady_clock::now() - started)
             .count());
     sr.stats = obs::encode_stats(obs::snapshot_metrics());
-    const std::vector<std::uint8_t> payload = encode_payload(sr);
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      write_frame(*conn->stream, FrameType::kStatsResponse, payload);
-      requests_served.fetch_add(1, std::memory_order_relaxed);
-      count_bytes_out(payload.size());
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
-    }
+    write_locked(*conn, FrameType::kStatsResponse, encode_payload(sr), /*served=*/true);
     return true;
   }
 

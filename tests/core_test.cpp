@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "nanocost/core/generalized_cost.hpp"
 #include "nanocost/core/itrs_analysis.hpp"
@@ -230,6 +232,20 @@ TEST(Optimizer, SweepMinimumMatchesGoldenSection) {
   for (const SweepPoint& p : sweep) best = std::min(best, p.breakdown.total.value());
   EXPECT_NEAR(best, opt.cost_per_transistor.value(),
               opt.cost_per_transistor.value() * 0.01);
+}
+
+TEST(Optimizer, SweepNamesTheNonFiniteBound) {
+  // An infinite hi passes 0 < lo < hi; the error must name hi, not the
+  // NaN grid point it would produce.
+  const Eq4Inputs inputs;
+  const double inf = std::numeric_limits<double>::infinity();
+  try {
+    (void)sweep_eq4(inputs, 200.0, inf, 10);
+    ADD_FAILURE() << "an infinite sweep bound was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep bound hi must be finite"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ItrsAnalysis, Figure2SeriesDeclines) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -98,6 +99,36 @@ TEST(Risk, Validation) {
   EXPECT_THROW(monte_carlo_cost(u, 300.0, 5), std::invalid_argument);
   EXPECT_THROW(robust_sd(u, 0.0, 110.0, 1000.0, 10), std::invalid_argument);
   EXPECT_THROW(robust_sd(u, 0.9, 1000.0, 110.0, 10), std::invalid_argument);
+}
+
+/// Runs `f`, which must throw std::invalid_argument whose message names
+/// `what`.
+template <typename F>
+void expect_invalid_naming(F&& f, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << "no exception; expected one naming " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(Risk, NanDieBudgetIsRejectedByNameNotReadAsNoBudget) {
+  const UncertainInputs u = reference();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_invalid_naming([&] { (void)monte_carlo_cost(u, 300.0, 1000, 1, nan); }, "die_budget");
+  expect_invalid_naming([&] { (void)monte_carlo_cost_partial(u, 300.0, 1000, 1, nan); },
+                        "die_budget");
+  expect_invalid_naming([&] { RiskCampaign task(u, 300.0, 1000, 1, nan); }, "die_budget");
+}
+
+TEST(Risk, RobustSweepNamesTheNonFiniteBound) {
+  const UncertainInputs u = reference();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_invalid_naming([&] { (void)robust_sd(u, 0.9, 200.0, inf, 10, 100); },
+                        "sweep bound hi must be finite");
+  expect_invalid_naming([&] { (void)robust_sd(u, 0.9, -inf, 200.0, 10, 100); },
+                        "sweep bound lo must be finite");
 }
 
 // ---------------------------------------------------------------------------

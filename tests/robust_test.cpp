@@ -183,7 +183,10 @@ TEST(FiniteGuard, PassesFiniteRejectsNaNAndInf) {
 class CheckpointFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "nanocost_ckpt_" +
+    // The pid keeps concurrently running test processes apart: ASan's
+    // allocator hands out the same heap addresses in every process, so
+    // `this` alone collides.
+    path_ = ::testing::TempDir() + "nanocost_ckpt_" + std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".bin";
     std::remove(path_.c_str());
   }

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -620,6 +621,20 @@ TEST(ServedConnection, SemanticallyInvalidJobGetsErrorResponseOnALiveConnection)
   }
   EXPECT_TRUE(saw_error_response);
   EXPECT_TRUE(saw_pong);
+}
+
+TEST(ServedConnection, NanDieBudgetComesBackAsANamedError) {
+  // NaN is not "no budget": the served job fails by name instead of
+  // returning prob_over_budget 0.
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  RiskJob job = small_risk();
+  job.die_budget = std::numeric_limits<double>::quiet_NaN();
+  const Response r = client.wait(client.submit(job));
+  EXPECT_EQ(r.status, ResponseStatus::kError);
+  EXPECT_NE(r.message.find("die_budget"), std::string::npos) << r.message;
+  EXPECT_TRUE(r.result.empty());
+  EXPECT_EQ(r.completeness, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@
 // position.  These tests enumerate the levels the host actually
 // supports (a lane the CPU lacks cannot be exercised) and compare each
 // against the scalar oracle over randomized inputs and every
-// odd-remainder tail length, including the rejection paths of the
-// bounded draws and the out-of-support/model-fallback edges of the
-// kill-probability LUT.
+// odd-remainder tail length, including the out-of-support/model-
+// fallback edges of the kill-probability LUT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -34,8 +34,7 @@ using exec::SimdLevel;
 /// Levels the host can execute, scalar first.
 std::vector<SimdLevel> levels() {
   std::vector<SimdLevel> out{SimdLevel::kScalar};
-  if (exec::detected_simd_level() >= SimdLevel::kSse2) out.push_back(SimdLevel::kSse2);
-  if (exec::detected_simd_level() >= SimdLevel::kAvx2) out.push_back(SimdLevel::kAvx2);
+  if (exec::detected_simd_level() == SimdLevel::kAvx2) out.push_back(SimdLevel::kAvx2);
   return out;
 }
 
@@ -52,27 +51,6 @@ void expect_bitwise_equal(const std::vector<T>& a, const std::vector<T>& b,
   }
 }
 
-TEST(SimdParity, Splitmix64Batch) {
-  for (const std::size_t n : kLengths) {
-    std::vector<std::uint64_t> ref(n);
-    exec::SplitMix64 rng_ref(12345);
-    exec::splitmix64_batch_at(SimdLevel::kScalar, rng_ref, ref.data(), n);
-    // The batch must also equal n serial next() calls.
-    exec::SplitMix64 serial(12345);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(ref[i], serial.next()) << "batch != serial stream at " << i;
-    }
-    ASSERT_EQ(rng_ref.state(), serial.state());
-    for (const SimdLevel level : levels()) {
-      std::vector<std::uint64_t> got(n);
-      exec::SplitMix64 rng(12345);
-      exec::splitmix64_batch_at(level, rng, got.data(), n);
-      expect_bitwise_equal(ref, got, "splitmix64_batch", n);
-      EXPECT_EQ(rng_ref.state(), rng.state()) << "stream position diverges";
-    }
-  }
-}
-
 TEST(SimdParity, UniformUnitBatch) {
   for (const std::size_t n : kLengths) {
     std::vector<double> ref(n);
@@ -82,6 +60,7 @@ TEST(SimdParity, UniformUnitBatch) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(ref[i], exec::uniform_unit(serial));
     }
+    ASSERT_EQ(rng_ref.state(), serial.state()) << "batch != serial stream position";
     for (const SimdLevel level : levels()) {
       std::vector<double> got(n);
       exec::SplitMix64 rng(99);
@@ -92,24 +71,18 @@ TEST(SimdParity, UniformUnitBatch) {
   }
 }
 
-TEST(SimdParity, BoundedU32Batch) {
-  // 0xF0000000 and 0xFFFFFFFE force the Lemire rejection path often;
-  // small bounds exercise the common fast path.
-  const std::uint32_t bounds[] = {1, 2, 7, 1000, 0xF0000000U, 0xFFFFFFFEU};
-  for (const std::uint32_t bound : bounds) {
-    for (const std::size_t n : kLengths) {
-      std::vector<std::uint32_t> ref(n);
-      exec::SplitMix64 rng_ref(4242);
-      exec::bounded_u32_batch_at(SimdLevel::kScalar, rng_ref, bound, ref.data(), n);
-      for (const SimdLevel level : levels()) {
-        std::vector<std::uint32_t> got(n);
-        exec::SplitMix64 rng(4242);
-        exec::bounded_u32_batch_at(level, rng, bound, got.data(), n);
-        expect_bitwise_equal(ref, got, "bounded_u32_batch", n);
-        EXPECT_EQ(rng_ref.state(), rng.state()) << "bound=" << bound << " n=" << n;
-      }
-    }
-  }
+TEST(SimdParity, Sse2OverrideIsRefusedAndFallsBackToDetection) {
+  // simd_level() resolves once per process, so the override is read in
+  // a re-executed child ("threadsafe" death-test style) where nothing
+  // has consulted the level yet.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("NANOCOST_SIMD", "sse2", 1);
+        std::exit(exec::simd_level() == exec::detected_simd_level() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "NANOCOST_SIMD='sse2' is not a recognised level \\(use scalar/avx2\\)");
 }
 
 TEST(SimdParity, CounterMappers) {
