@@ -26,17 +26,27 @@
 //
 // Two usage shapes share this class:
 //  * batch (the original API): submit() everything, then run() once --
-//    run() closes submissions and drains.
+//    run() closes submissions, drains, and returns every outcome
+//    indexed by slot.
 //  * long-lived (the serve daemon): submit() and drain() interleave
 //    from different threads; stop() trips the queue's own token so a
 //    shutdown path gets a final outcome for every admitted campaign
 //    (kStopped for the ones that never started) without having to own
 //    an external CancelToken.
+//
+// An outcome lives in the queue only until it is delivered.  A
+// shed/stopped verdict is delivered by submit()'s return value; a
+// drained campaign's outcome is moved into drain()'s callback (or, in
+// batch use, into run()'s vector).  A long-lived queue therefore holds
+// state for its outstanding campaigns only (retained()), however many
+// it has served; the status counts are plain counters.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -83,39 +93,54 @@ struct SubmissionOutcome final {
   std::string message;  ///< shed/expired/stopped reason, empty otherwise
 };
 
+/// submit()'s verdict, returned to the submitter directly: admitted
+/// (kQueued, the outcome follows from a drain) or rejected on the spot
+/// (kShed / kStopped, with the reason).  A rejected slot never reaches
+/// a drain callback.
+struct Submission final {
+  std::size_t slot = 0;
+  SubmissionStatus status = SubmissionStatus::kQueued;
+  std::string message;  ///< rejection reason, empty when admitted
+
+  [[nodiscard]] bool admitted() const noexcept { return status == SubmissionStatus::kQueued; }
+  /// Reads as its slot index, so a batch caller that only indexes
+  /// run()'s outcomes can keep treating submit() as returning one.
+  operator std::size_t() const noexcept { return slot; }
+};
+
 /// Bounded FIFO of campaigns with deterministic load shedding.
 /// submit(), drain(), and stop() may be called from different threads
 /// (the serve daemon's readers submit while its runner drains); the
 /// parallelism *within* each campaign still lives in the campaign.
-/// outcomes()/run()/drain() return a reference that is only stable
-/// while no concurrent submit() is in flight -- concurrent consumers
-/// should take their copies from drain()'s per-campaign callback.
 class CampaignQueue final {
  public:
   explicit CampaignQueue(AdmissionOptions options);
 
-  /// Admits (or sheds) `task`; returns its outcome slot index.  `task`
-  /// must outlive the drain that runs it.  Under kRejectNewest a full
-  /// queue sheds the submission immediately: outcome kShed, message
-  /// naming the capacity.  After stop() every submission comes back
-  /// kStopped; after run() submissions throw (the batch API closes the
-  /// queue).  `options.cancel` and `options.max_chunks_this_run` may be
-  /// overridden at drain time (child deadline token, degraded budget);
-  /// everything else passes through.
-  std::size_t submit(const CampaignTask& task, CampaignOptions options = {});
+  /// Admits (or sheds) `task` and returns the verdict with its slot
+  /// index.  `task` must outlive the drain that runs it.  Under
+  /// kRejectNewest a full queue sheds the submission immediately:
+  /// status kShed, message naming the capacity.  After stop() every
+  /// submission comes back kStopped; after run() submissions throw (the
+  /// batch API closes the queue).  `options.cancel` and
+  /// `options.max_chunks_this_run` may be overridden at drain time
+  /// (child deadline token, degraded budget); everything else passes
+  /// through.
+  Submission submit(const CampaignTask& task, CampaignOptions options = {});
 
-  /// Runs every admitted-but-not-yet-run campaign in submission order
-  /// and returns all outcomes (indexed like submit()).  Callable
-  /// repeatedly; a drain that finds nothing pending returns
-  /// immediately.  `on_complete`, when given, is invoked -- with no
-  /// internal lock held -- after each campaign's outcome is recorded,
-  /// with the slot index and a stable copy of the outcome; this is how
-  /// a long-lived server responds per request without waiting for the
-  /// whole cycle.  Concurrent drains serialize.
-  using CompletionFn = std::function<void(std::size_t, const SubmissionOutcome&)>;
-  const std::vector<SubmissionOutcome>& drain(const CompletionFn& on_complete = {});
+  /// Runs every admitted-but-not-yet-run campaign in submission order,
+  /// moving each outcome into `on_complete` -- invoked with no internal
+  /// lock held, so it may submit, stop, or block on I/O -- and then
+  /// forgetting it.  Submissions arriving mid-cycle run in the same
+  /// cycle.  Returns the number of outcomes delivered; a drain that
+  /// finds nothing pending returns 0 immediately.  Concurrent drains
+  /// serialize.  Also retires the submit-time verdicts kept for run():
+  /// a long-lived caller already has them from submit().
+  using CompletionFn = std::function<void(std::size_t, SubmissionOutcome&&)>;
+  std::size_t drain(const CompletionFn& on_complete);
 
-  /// Batch spelling: closes submissions, then drains.  Idempotent.
+  /// Batch spelling: closes submissions, drains, and returns every
+  /// outcome indexed by slot (shed/stopped verdicts included).  Slots a
+  /// drain() callback already received stay default.  Idempotent.
   const std::vector<SubmissionOutcome>& run();
 
   /// Trips the queue's own stop token: the running campaign (if any)
@@ -128,14 +153,12 @@ class CampaignQueue final {
 
   /// Admitted campaigns not yet finished (queued + running).
   [[nodiscard]] std::size_t outstanding() const noexcept;
+  /// Per-slot records the queue holds: outstanding campaigns plus the
+  /// submit-time verdicts kept for run() until the next drain.
+  [[nodiscard]] std::size_t retained() const noexcept;
 
-  [[nodiscard]] const std::vector<SubmissionOutcome>& outcomes() const noexcept {
-    return outcomes_;
-  }
-  /// Thread-safe snapshot of one slot's outcome -- how a concurrent
-  /// submitter learns a submission was shed/stopped at submit() time
-  /// (those slots never reach drain()'s callback).
-  [[nodiscard]] SubmissionOutcome outcome_copy(std::size_t slot) const;
+  /// Slots that reached each status so far (submit-time verdicts
+  /// included).
   [[nodiscard]] std::size_t shed_count() const noexcept;
   [[nodiscard]] std::size_t expired_count() const noexcept;
   [[nodiscard]] std::size_t partial_count() const noexcept;
@@ -150,7 +173,7 @@ class CampaignQueue final {
   };
 
   [[nodiscard]] std::size_t outstanding_locked() const noexcept {
-    return admitted_.size() - next_ + (running_ ? 1 : 0);
+    return pending_.size() + (running_ ? 1 : 0);
   }
   std::size_t count_status(SubmissionStatus status) const noexcept;
 
@@ -161,9 +184,12 @@ class CampaignQueue final {
   CancelToken stop_root_;
   mutable std::mutex mu_;
   std::condition_variable drain_done_;
-  std::vector<Admitted> admitted_;
-  std::vector<SubmissionOutcome> outcomes_;
-  std::size_t next_ = 0;      ///< first admitted_ entry not yet picked up
+  std::deque<Admitted> pending_;       ///< admitted, not yet picked up
+  std::vector<Submission> verdicts_;   ///< rejected at submit(), kept for run()
+  std::vector<SubmissionOutcome> batch_;  ///< run()'s result
+  /// Slots per status, indexed by SubmissionStatus.
+  std::array<std::size_t, static_cast<std::size_t>(SubmissionStatus::kStopped) + 1> counts_{};
+  std::size_t slots_ = 0;     ///< slots handed out so far
   bool running_ = false;      ///< a campaign is executing right now
   bool draining_ = false;     ///< a drain cycle owns the queue
   bool closed_ = false;       ///< run() called; submissions throw

@@ -215,6 +215,9 @@ struct StatsReport final {
 [[nodiscard]] cache::Digest128 job_key(const Eq4Job& job);
 [[nodiscard]] cache::Digest128 job_key(const RiskJob& job);
 [[nodiscard]] cache::Digest128 job_key(const CampaignJob& job);
+/// job_key(job) from the simulator make_simulator(job) already built --
+/// the served path keys a request without building a second one.
+[[nodiscard]] cache::Digest128 job_key(const CampaignJob& job, const fabsim::FabSimulator& sim);
 
 // ---- Execution ----------------------------------------------------------
 // Light jobs run synchronously on a worker thread; campaigns go through

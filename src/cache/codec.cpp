@@ -11,6 +11,11 @@ using bytes::ByteWriter;
 
 constexpr std::string_view kContext = "cache blob";
 
+/// Largest placement grid a cached multistart result may declare: a
+/// 2048 x 2048 grid, far past the few-thousand-gate netlists the flow
+/// places, and a 16 MiB site table at most.
+constexpr std::int64_t kMaxPlacementSites = std::int64_t{1} << 22;
+
 void put_breakdown(ByteWriter& w, const core::Eq4Breakdown& b) {
   w.f64(b.manufacturing.value());
   w.f64(b.design.value());
@@ -177,8 +182,12 @@ place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>
   const std::int32_t rows = r.i32();
   const std::int32_t cols = r.i32();
   const std::int32_t gates = r.i32();
-  // Each gate owes an 8-byte site field: a corrupt count must not size
-  // the placement.
+  // A corrupt grid or gate count must not size the placement: the grid
+  // is capped, and each gate owes an 8-byte site field.
+  if (rows < 1 || cols < 1 || std::int64_t{rows} * cols > kMaxPlacementSites) {
+    r.fail("placement grid " + std::to_string(rows) + " x " + std::to_string(cols) +
+           " is outside 1.." + std::to_string(kMaxPlacementSites) + " sites");
+  }
   (void)r.count(static_cast<std::uint64_t>(gates), 8, "gate count");
   place::Placement placement(rows, cols, gates);
   for (std::int32_t g = 0; g < gates; ++g) placement.assign(g, r.i32());

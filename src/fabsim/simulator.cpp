@@ -137,6 +137,9 @@ KillProbabilityLut::KillProbabilityLut(const DieKillModel& model, units::Microme
   // "exponent+mantissa" space -- log-like resolution without a log.
   // Each cell stores the last bin starting at or below the cell's lower
   // edge; a lookup then only ever nudges upward, typically 0-1 steps.
+  // Cell edges and nodes are both ascending, so one merge-style sweep
+  // fills the table: `at_or_below` counts the nodes <= the cell edge
+  // (what upper_bound would return) and only ever moves forward.
   bits_min_ = std::bit_cast<std::int64_t>(node_x_.front());
   const auto bits_max = std::bit_cast<std::int64_t>(node_x_.back());
   const std::int64_t span = bits_max - bits_min_;
@@ -145,12 +148,13 @@ KillProbabilityLut::KillProbabilityLut(const DieKillModel& model, units::Microme
   const auto cells = static_cast<std::size_t>(span >> hint_shift_) + 1;
   hint_.resize(cells);
   const auto last = static_cast<std::int64_t>(slope_.size()) - 1;
+  std::size_t at_or_below = 0;
   for (std::size_t k = 0; k < cells; ++k) {
     const double cell_lo = std::bit_cast<double>(
         bits_min_ + (static_cast<std::int64_t>(k) << hint_shift_));
-    const auto it = std::upper_bound(node_x_.begin(), node_x_.end(), cell_lo);
-    const auto bin = std::clamp(static_cast<std::int64_t>(it - node_x_.begin()) - 1,
-                                std::int64_t{0}, last);
+    while (at_or_below < node_x_.size() && node_x_[at_or_below] <= cell_lo) ++at_or_below;
+    const auto bin =
+        std::clamp(static_cast<std::int64_t>(at_or_below) - 1, std::int64_t{0}, last);
     hint_[k] = static_cast<std::int32_t>(bin);
   }
 }

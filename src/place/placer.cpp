@@ -26,6 +26,14 @@ Placement::Placement(std::int32_t rows, std::int32_t cols, std::int32_t gate_cou
   if (rows_ < 1 || cols_ < 1) {
     throw std::invalid_argument("placement grid needs rows >= 1 and cols >= 1");
   }
+  // Sites are int32-indexed, so the product must fit before anything
+  // computes it in int32.
+  const std::int64_t sites = std::int64_t{rows_} * cols_;
+  if (sites > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("placement grid too large: " + std::to_string(rows_) + " x " +
+                                std::to_string(cols_) + " = " + std::to_string(sites) +
+                                " sites exceeds INT32_MAX");
+  }
   if (gate_count > site_count()) {
     throw std::invalid_argument("placement grid too small: " + std::to_string(gate_count) +
                                 " gates, " + std::to_string(site_count()) + " sites");

@@ -20,38 +20,38 @@ CampaignQueue::CampaignQueue(AdmissionOptions options) : options_(std::move(opti
   governed_ = stop_root_;
 }
 
-std::size_t CampaignQueue::submit(const CampaignTask& task, CampaignOptions options) {
+Submission CampaignQueue::submit(const CampaignTask& task, CampaignOptions options) {
   std::lock_guard<std::mutex> lk(mu_);
   if (closed_) {
     throw std::logic_error("admission queue already drained; submissions are closed");
   }
-  const std::size_t slot = outcomes_.size();
-  outcomes_.emplace_back();
+  Submission verdict;
+  verdict.slot = slots_++;
   if (stop_requested_) {
-    outcomes_[slot].status = SubmissionStatus::kStopped;
-    outcomes_[slot].message = "stopped: the queue is shutting down; submission rejected";
-    return slot;
-  }
-  if (options_.policy == ShedPolicy::kRejectNewest &&
-      outstanding_locked() >= options_.capacity) {
+    verdict.status = SubmissionStatus::kStopped;
+    verdict.message = "stopped: the queue is shutting down; submission rejected";
+  } else if (options_.policy == ShedPolicy::kRejectNewest &&
+             outstanding_locked() >= options_.capacity) {
     // Deterministic: admission depends only on the submission order and
     // on which earlier campaigns have drained, never on timing inside
     // a campaign.
-    outcomes_[slot].status = SubmissionStatus::kShed;
-    outcomes_[slot].message = "shed: queue at capacity (" +
-                              std::to_string(options_.capacity) +
-                              "); resubmit when the queue drains";
+    verdict.status = SubmissionStatus::kShed;
+    verdict.message = "shed: queue at capacity (" + std::to_string(options_.capacity) +
+                      "); resubmit when the queue drains";
     if (obs::metrics_enabled()) {
       static obs::Counter& shed = obs::counter("robust.shed");
       shed.add();
     }
-    return slot;
+  } else {
+    pending_.push_back(Admitted{&task, std::move(options), verdict.slot});
+    return verdict;
   }
-  admitted_.push_back(Admitted{&task, std::move(options), slot});
-  return slot;
+  ++counts_[static_cast<std::size_t>(verdict.status)];
+  verdicts_.push_back(verdict);
+  return verdict;
 }
 
-const std::vector<SubmissionOutcome>& CampaignQueue::drain(const CompletionFn& on_complete) {
+std::size_t CampaignQueue::drain(const CompletionFn& on_complete) {
   std::unique_lock<std::mutex> lk(mu_);
   // Concurrent drains serialize: the second caller waits, then picks up
   // whatever was submitted meanwhile.
@@ -69,26 +69,27 @@ const std::vector<SubmissionOutcome>& CampaignQueue::drain(const CompletionFn& o
     depth.set(static_cast<double>(outstanding_locked()));
   }
 
-  while (next_ < admitted_.size()) {
-    Admitted a = admitted_[next_];
-    ++next_;
-    SubmissionStatus status;
-    std::string message;
-    CampaignResult result;
-    bool ran = false;
+  // Submit-time verdicts are kept only for run(); a drain() caller has
+  // them from submit() already.
+  verdicts_.clear();
+  std::size_t delivered = 0;
+  while (!pending_.empty()) {
+    Admitted a = std::move(pending_.front());
+    pending_.pop_front();
+    SubmissionOutcome outcome;
     if (stop_requested_) {
-      status = SubmissionStatus::kStopped;
-      message = "stopped: the queue was stopped before this campaign started; resumable";
+      outcome.status = SubmissionStatus::kStopped;
+      outcome.message = "stopped: the queue was stopped before this campaign started; resumable";
     } else if (governed_.expired()) {
-      status = SubmissionStatus::kExpired;
-      message = "expired: queue budget exhausted before this campaign started";
+      outcome.status = SubmissionStatus::kExpired;
+      outcome.message = "expired: queue budget exhausted before this campaign started";
       if (obs::metrics_enabled()) {
         static obs::Counter& expired = obs::counter("robust.expired");
         expired.add();
       }
     } else {
       running_ = true;
-      CampaignOptions run_options = a.options;
+      CampaignOptions run_options = std::move(a.options);
       run_options.cancel = governed_.child();
       // kDegradeBudgets: oversubscription at the moment a campaign
       // starts shrinks its chunk budget by capacity / outstanding -- a
@@ -110,50 +111,54 @@ const std::vector<SubmissionOutcome>& CampaignQueue::drain(const CompletionFn& o
                 : share;
       }
       lk.unlock();
-      result = run_campaign(*a.task, run_options);
+      outcome.result = run_campaign(*a.task, run_options);
       lk.lock();
       running_ = false;
-      ran = true;
-      if (result.expired) {
+      if (outcome.result.expired) {
         if (stop_requested_) {
-          status = SubmissionStatus::kStopped;
-          message = "stopped: the queue was stopped mid-run; checkpointed, resumable";
+          outcome.status = SubmissionStatus::kStopped;
+          outcome.message = "stopped: the queue was stopped mid-run; checkpointed, resumable";
         } else {
-          status = SubmissionStatus::kExpired;
-          message = "expired: the queue deadline tripped mid-run; resumable";
+          outcome.status = SubmissionStatus::kExpired;
+          outcome.message = "expired: the queue deadline tripped mid-run; resumable";
         }
-      } else if (result.completeness() < 1.0 || result.interrupted) {
-        status = SubmissionStatus::kPartial;
+      } else if (outcome.result.completeness() < 1.0 || outcome.result.interrupted) {
+        outcome.status = SubmissionStatus::kPartial;
       } else {
-        status = SubmissionStatus::kCompleted;
+        outcome.status = SubmissionStatus::kCompleted;
       }
     }
-    SubmissionOutcome& outcome = outcomes_[a.slot];
-    outcome.status = status;
-    outcome.message = std::move(message);
-    if (ran) outcome.result = std::move(result);
-    if (on_complete) {
-      // Call with a stable copy and no lock held: the callback may
-      // submit, stop, or block on I/O without deadlocking the queue.
-      const SubmissionOutcome copy = outcomes_[a.slot];
-      lk.unlock();
-      on_complete(a.slot, copy);
-      lk.lock();
-    }
+    ++counts_[static_cast<std::size_t>(outcome.status)];
+    // Deliver with no lock held -- the callback may submit, stop, or
+    // block on I/O without deadlocking the queue -- and keep nothing.
+    lk.unlock();
+    on_complete(a.slot, std::move(outcome));
+    ++delivered;
+    lk.lock();
+    verdicts_.clear();
   }
 
   draining_ = false;
   lk.unlock();
   drain_done_.notify_all();
-  return outcomes_;
+  return delivered;
 }
 
 const std::vector<SubmissionOutcome>& CampaignQueue::run() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     closed_ = true;
+    batch_.resize(slots_);
+    for (Submission& v : verdicts_) {
+      batch_[v.slot].status = v.status;
+      batch_[v.slot].message = std::move(v.message);
+    }
+    verdicts_.clear();
   }
-  return drain();
+  (void)drain([this](std::size_t slot, SubmissionOutcome&& outcome) {
+    batch_[slot] = std::move(outcome);
+  });
+  return batch_;
 }
 
 void CampaignQueue::stop() noexcept {
@@ -174,18 +179,14 @@ std::size_t CampaignQueue::outstanding() const noexcept {
   return outstanding_locked();
 }
 
-SubmissionOutcome CampaignQueue::outcome_copy(std::size_t slot) const {
+std::size_t CampaignQueue::retained() const noexcept {
   std::lock_guard<std::mutex> lk(mu_);
-  return outcomes_.at(slot);
+  return outstanding_locked() + verdicts_.size();
 }
 
 std::size_t CampaignQueue::count_status(SubmissionStatus status) const noexcept {
   std::lock_guard<std::mutex> lk(mu_);
-  std::size_t n = 0;
-  for (const SubmissionOutcome& o : outcomes_) {
-    if (o.status == status) ++n;
-  }
-  return n;
+  return counts_[static_cast<std::size_t>(status)];
 }
 
 std::size_t CampaignQueue::shed_count() const noexcept {

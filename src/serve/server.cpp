@@ -187,10 +187,12 @@ void count_bytes_out(std::size_t payload_bytes) {
   }
 }
 
-void set_queue_depth(std::size_t outstanding) {
+void set_queue_gauges(const robust::CampaignQueue& queue) {
   if (obs::metrics_enabled()) {
-    static obs::Gauge& g = obs::gauge("serve.queue_depth");
-    g.set(static_cast<double>(outstanding));
+    static obs::Gauge& depth = obs::gauge("serve.queue_depth");
+    static obs::Gauge& retained = obs::gauge("robust.queue_retained");
+    depth.set(static_cast<double>(queue.outstanding()));
+    retained.set(static_cast<double>(queue.retained()));
   }
 }
 
@@ -747,14 +749,13 @@ struct Server::Impl {
     try {
       job = decode_campaign_job(frame.payload);
       sim = std::make_unique<fabsim::FabSimulator>(make_simulator(job));
-      key = job_key(job);
+      key = job_key(job, *sim);
     } catch (const std::exception& e) {
       send_response(conn,
                     error_response(request_id, std::string("invalid campaign job: ") + e.what()),
                     JobClock{JobKind::kCampaign, start_us});
       return true;
     }
-    std::size_t slot = 0;
     bool admitted = false;
     Response immediate;
     {
@@ -806,17 +807,15 @@ struct Server::Impl {
       run.pool = options.pool;
       // Admission happens here, synchronously in the reader: shed
       // decisions are a pure function of the request arrival order.
-      slot = queue.submit(*task, run);
-      const robust::SubmissionOutcome outcome = queue.outcome_copy(slot);
-      if (outcome.status == robust::SubmissionStatus::kShed ||
-          outcome.status == robust::SubmissionStatus::kStopped) {
+      robust::Submission verdict = queue.submit(*task, run);
+      if (!verdict.admitted()) {
         campaigns_shed.fetch_add(1, std::memory_order_relaxed);
         count_shed();
         immediate.request_id = request_id;
-        immediate.status = outcome.status == robust::SubmissionStatus::kShed
+        immediate.status = verdict.status == robust::SubmissionStatus::kShed
                                ? ResponseStatus::kShed
                                : ResponseStatus::kStopped;
-        immediate.message = outcome.message;
+        immediate.message = std::move(verdict.message);
         immediate.completeness = 0.0;
       } else {
         PendingCampaign pc;
@@ -824,15 +823,15 @@ struct Server::Impl {
         pc.task = std::move(task);
         pc.waiters.push_back(Waiter{conn, request_id, start_us, conn->tenant});
         pc.key = key;
-        pending.emplace(slot, std::move(pc));
-        campaign_inflight.emplace(key, slot);
+        pending.emplace(verdict.slot, std::move(pc));
+        campaign_inflight.emplace(key, verdict.slot);
         ++tenant_outstanding[conn->tenant];
         conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
         ++inflight_waiters;
         set_inflight(inflight_waiters);
         admitted = true;
       }
-      set_queue_depth(queue.outstanding());
+      set_queue_gauges(queue);
     }
     if (admitted) {
       runner_cv.notify_one();
@@ -891,7 +890,7 @@ struct Server::Impl {
       runner_cv.wait(lk, [&] { return campaigns_closed || queue.outstanding() > 0; });
       if (queue.outstanding() > 0) {
         lk.unlock();
-        queue.drain([this](std::size_t slot, const robust::SubmissionOutcome& outcome) {
+        (void)queue.drain([this](std::size_t slot, robust::SubmissionOutcome&& outcome) {
           on_campaign_done(slot, outcome);
         });
         lk.lock();
@@ -964,7 +963,7 @@ struct Server::Impl {
       }
       set_inflight(inflight_waiters);
       set_coalesced_inflight(coalesced_waiters);
-      set_queue_depth(queue.outstanding());
+      set_queue_gauges(queue);
     }
     for (std::size_t i = 0; i < waiters.size(); ++i) {
       r.request_id = waiters[i].request_id;

@@ -28,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "corruption_matrix.hpp"
@@ -279,6 +280,37 @@ TEST(CacheCodec, PlacementI32FieldsRejectOutOfRangeValues) {
   // rows = 2^32 + 1 once decoded as 1.
   EXPECT_THROW((void)cache::decode_multistart_result(blob_with_rows((1LL << 32) + 1)),
                std::runtime_error);
+}
+
+TEST(CacheCodec, PlacementGridPastTheSiteCapIsRejectedBeforeAllocating) {
+  const auto blob_with_grid = [](std::int32_t rows, std::int32_t cols) {
+    bytes::ByteWriter w;
+    w.i32(rows);
+    w.i32(cols);
+    w.i32(1);     // gates
+    w.i32(0);     // gate 0's site
+    w.f64(2.0);   // initial hpwl
+    w.f64(1.0);   // final hpwl
+    w.i64(10);    // moves tried
+    w.i64(5);     // moves accepted
+    w.i32(0);     // best start
+    w.i32(1);     // starts
+    w.u64(0);     // no per-start hpwls
+    return w.take();
+  };
+  // 2048 x 2048 is the cap itself; one more row is past it, and a grid
+  // whose int32 product would overflow is rejected the same way.
+  EXPECT_EQ(cache::decode_multistart_result(blob_with_grid(2048, 2048)).best.placement.rows(),
+            2048);
+  for (const auto& [rows, cols] : {std::pair{2049, 2048}, std::pair{65536, 65536},
+                                   std::pair{0, 4}, std::pair{4, -1}}) {
+    try {
+      (void)cache::decode_multistart_result(blob_with_grid(rows, cols));
+      ADD_FAILURE() << rows << " x " << cols << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("placement grid"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(CacheLru, HitMissInsertAndStats) {

@@ -37,6 +37,7 @@
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/obs/stats.hpp"
+#include "nanocost/place/placer.hpp"
 #include "nanocost/robust/artifact_store.hpp"
 #include "nanocost/robust/checkpoint.hpp"
 #include "nanocost/serve/jobs.hpp"
@@ -202,6 +203,10 @@ TEST(CodecFuzz, JobPayloadsAndServedResultsRoundTripOrThrow) {
   serve::HelloRequest hello;
   hello.tenant = "acme";
   hello.attempt = 2;
+  place::Placement placement(3, 4, 5);
+  for (std::int32_t g = 0; g < 5; ++g) placement.assign(g, (g * 5) % 12);
+  const place::MultistartResult multistart{
+      place::PlaceResult{std::move(placement), 12.0, 9.5, 100, 40}, 1, 3, {11.0, 9.5, 10.25}};
   fabsim::LotResult lot;
   lot.wafers = {{100, 90, 12, 10}, {100, 85, 20, 15}};
   lot.total_dies = 200;
@@ -226,6 +231,8 @@ TEST(CodecFuzz, JobPayloadsAndServedResultsRoundTripOrThrow) {
       {"risk result", cache::encode(core::RiskResult{1.0, 0.5, 0.2, 0.9, 1.8, 0.25}),
        result_round_trip(cache::decode_risk_result), {}, {}},
       {"lot result", cache::encode(lot), result_round_trip(cache::decode_lot_result), {}, {}},
+      {"placement", cache::encode(multistart),
+       result_round_trip(cache::decode_multistart_result), {}, {}},
       {"window sweep", cache::encode(std::vector<regularity::WindowSweepPoint>{
                            {4, 100, 12, 0.88}, {8, 25, 9, 0.64}}),
        result_round_trip(cache::decode_window_sweep_points), {}, {}},

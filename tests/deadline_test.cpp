@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -751,15 +752,16 @@ TEST(AdmissionQueue, DrainPicksUpSubmissionsArrivingMidCycle) {
   (void)queue.submit(task);
   std::vector<std::size_t> completed_slots;
   bool resubmitted = false;
-  const auto& outcomes = queue.drain([&](std::size_t slot, const robust::SubmissionOutcome& o) {
-    EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
-    completed_slots.push_back(slot);
-    if (!resubmitted) {
-      resubmitted = true;
-      EXPECT_EQ(queue.submit(task), 1u);
-    }
-  });
-  ASSERT_EQ(outcomes.size(), 2u);
+  const std::size_t delivered =
+      queue.drain([&](std::size_t slot, const robust::SubmissionOutcome& o) {
+        EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
+        completed_slots.push_back(slot);
+        if (!resubmitted) {
+          resubmitted = true;
+          EXPECT_EQ(queue.submit(task), 1u);
+        }
+      });
+  ASSERT_EQ(delivered, 2u);
   EXPECT_EQ(completed_slots, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(queue.outstanding(), 0u);
   EXPECT_EQ(queue.completed_count(), 2u);
@@ -767,9 +769,16 @@ TEST(AdmissionQueue, DrainPicksUpSubmissionsArrivingMidCycle) {
   // drain() (unlike run()) leaves the queue open: a later submission
   // plus another drain works, and an empty drain is a no-op.
   (void)queue.submit(task);
-  EXPECT_EQ(queue.drain().size(), 3u);
-  EXPECT_EQ(queue.drain().size(), 3u);
+  completed_slots.clear();
+  const auto record = [&](std::size_t slot, const robust::SubmissionOutcome& o) {
+    EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
+    completed_slots.push_back(slot);
+  };
+  EXPECT_EQ(queue.drain(record), 1u);
+  EXPECT_EQ(queue.drain(record), 0u);
+  EXPECT_EQ(completed_slots, (std::vector<std::size_t>{2}));
   EXPECT_EQ(queue.completed_count(), 3u);
+  EXPECT_EQ(queue.retained(), 0u);
 }
 
 TEST(AdmissionQueue, StopFinalizesEveryOutcomeWithoutRunningTheBacklog) {
@@ -780,8 +789,10 @@ TEST(AdmissionQueue, StopFinalizesEveryOutcomeWithoutRunningTheBacklog) {
   // stop() from the first campaign's completion callback: the rest of
   // the backlog drains as kStopped without ever running -- but every
   // slot still gets a final outcome (graceful drain's contract).
-  const auto& outcomes = queue.drain([&](std::size_t slot, const robust::SubmissionOutcome&) {
+  std::map<std::size_t, robust::SubmissionOutcome> outcomes;
+  (void)queue.drain([&](std::size_t slot, robust::SubmissionOutcome&& o) {
     if (slot == 0) queue.stop();
+    outcomes.emplace(slot, std::move(o));
   });
   EXPECT_TRUE(queue.stop_requested());
   ASSERT_EQ(outcomes.size(), 3u);
@@ -795,32 +806,83 @@ TEST(AdmissionQueue, StopFinalizesEveryOutcomeWithoutRunningTheBacklog) {
   EXPECT_EQ(queue.stopped_count(), 2u);
 
   // After stop() a submission is rejected at submit() time; that slot
-  // never reaches a drain callback, so outcome_copy is how a concurrent
-  // submitter learns its fate.
-  const std::size_t late = queue.submit(task);
-  const robust::SubmissionOutcome fate = queue.outcome_copy(late);
+  // never reaches a drain callback, so submit()'s verdict is how a
+  // concurrent submitter learns its fate.
+  const robust::Submission fate = queue.submit(task);
   EXPECT_EQ(fate.status, robust::SubmissionStatus::kStopped);
   EXPECT_NE(fate.message.find("shutting down"), std::string::npos) << fate.message;
+  EXPECT_EQ(queue.drain([&](std::size_t, robust::SubmissionOutcome&&) {
+    ADD_FAILURE() << "a slot rejected at submit() reached the drain callback";
+  }), 0u);
   queue.stop();  // idempotent
 }
 
-TEST(AdmissionQueue, OutcomeCopySnapshotsShedSlotsBeforeAnyDrain) {
+TEST(AdmissionQueue, SubmitReturnsTheShedVerdictBeforeAnyDrain) {
   const ToyTask task(40, 4);
   robust::AdmissionOptions admission;
   admission.capacity = 1;
   robust::CampaignQueue queue(admission);
-  const std::size_t admitted = queue.submit(task);
-  const std::size_t shed = queue.submit(task);
+  const robust::Submission admitted = queue.submit(task);
+  const robust::Submission shed = queue.submit(task);
 
   // The shed verdict is visible immediately -- no drain required.
-  EXPECT_EQ(queue.outcome_copy(admitted).status, robust::SubmissionStatus::kQueued);
-  const robust::SubmissionOutcome verdict = queue.outcome_copy(shed);
-  EXPECT_EQ(verdict.status, robust::SubmissionStatus::kShed);
-  EXPECT_NE(verdict.message.find("capacity (1)"), std::string::npos) << verdict.message;
+  EXPECT_EQ(admitted.status, robust::SubmissionStatus::kQueued);
+  EXPECT_TRUE(admitted.admitted());
+  EXPECT_EQ(shed.status, robust::SubmissionStatus::kShed);
+  EXPECT_FALSE(shed.admitted());
+  EXPECT_NE(shed.message.find("capacity (1)"), std::string::npos) << shed.message;
 
-  (void)queue.drain();
-  EXPECT_EQ(queue.outcome_copy(admitted).status, robust::SubmissionStatus::kCompleted);
-  EXPECT_EQ(queue.outcome_copy(shed).status, robust::SubmissionStatus::kShed);
+  // Only the admitted slot reaches the drain, completed; the shed slot
+  // stays shed.
+  std::map<std::size_t, robust::SubmissionStatus> drained;
+  (void)queue.drain([&](std::size_t slot, const robust::SubmissionOutcome& o) {
+    drained.emplace(slot, o.status);
+  });
+  EXPECT_EQ(drained, (std::map<std::size_t, robust::SubmissionStatus>{
+                         {admitted.slot, robust::SubmissionStatus::kCompleted}}));
+  EXPECT_EQ(queue.completed_count(), 1u);
+  EXPECT_EQ(queue.shed_count(), 1u);
+}
+
+TEST(AdmissionQueue, LongLivedUseRetainsOnlyOutstandingCampaigns) {
+  // A daemon drains campaign after campaign for its whole life: every
+  // outcome is handed to the callback and forgotten, so the queue's
+  // state tracks what is in flight, not what it has served.
+  const ToyTask task(8, 4);
+  robust::AdmissionOptions admission;
+  admission.capacity = 2;
+  robust::CampaignQueue queue(admission);
+  std::size_t delivered = 0;
+  for (int cycle = 0; cycle < 10000; ++cycle) {
+    const robust::Submission verdict = queue.submit(task);
+    ASSERT_TRUE(verdict.admitted());
+    ASSERT_LE(queue.retained(), queue.outstanding());
+    ASSERT_EQ(queue.drain([&](std::size_t slot, robust::SubmissionOutcome&& o) {
+      EXPECT_EQ(slot, verdict.slot);
+      EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
+      EXPECT_LE(queue.retained(), queue.outstanding());
+      ++delivered;
+    }), 1u);
+    ASSERT_EQ(queue.retained(), 0u);
+  }
+  EXPECT_EQ(delivered, 10000u);
+  EXPECT_EQ(queue.completed_count(), 10000u);
+
+  // Shed verdicts are the submitter's from submit(); the next drain
+  // retires the copy kept for run(), so shedding cannot grow the queue
+  // either.
+  robust::AdmissionOptions one;
+  one.capacity = 1;
+  robust::CampaignQueue shedding(one);
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ASSERT_TRUE(shedding.submit(task).admitted());
+    ASSERT_EQ(shedding.submit(task).status, robust::SubmissionStatus::kShed);
+    ASSERT_EQ(shedding.retained(), 2u);  // the queued campaign + one verdict
+    ASSERT_EQ(shedding.drain([](std::size_t, robust::SubmissionOutcome&&) {}), 1u);
+    ASSERT_EQ(shedding.retained(), 0u);
+  }
+  EXPECT_EQ(shedding.shed_count(), 1000u);
+  EXPECT_EQ(shedding.completed_count(), 1000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "nanocost/layout/counting.hpp"
 #include "nanocost/netlist/estimate.hpp"
@@ -42,6 +43,18 @@ TEST(Placement, CapacityEnforced) {
   const netlist::Netlist nl = small_netlist(30);
   EXPECT_THROW(Placement::ordered(nl, 4, 5), std::invalid_argument);
   EXPECT_THROW(Placement(0, 5, 1), std::invalid_argument);
+}
+
+TEST(Placement, GridPastInt32SitesIsRejectedByName) {
+  // 65536 x 65536 sites would overflow the int32 site index.
+  try {
+    const Placement p(65536, 65536, 1);
+    ADD_FAILURE() << "a 2^32-site grid was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("INT32_MAX"), std::string::npos) << e.what();
+  }
+  // Just past the limit: 46341^2 > 2^31 - 1.
+  EXPECT_THROW(Placement(46341, 46341, 1), std::invalid_argument);
 }
 
 TEST(Placement, AssignRejectsOccupiedSite) {

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -1104,6 +1105,30 @@ TEST(StatsFrame, ScrapeCountsJobResponsesAndMatchesInProcessQuantiles) {
   // The scrape counts as a served response (it answered a request), on
   // top of the three jobs.
   EXPECT_EQ(drain.requests_served, 4u);
+}
+
+TEST(StatsFrame, QueueRetainsNothingOnceEveryCampaignIsAnswered) {
+  // The campaign queue hands each outcome to the server and forgets it:
+  // after the last response the scrape shows nothing retained, however
+  // many campaigns were served.
+  MetricsGuard metrics;
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    EXPECT_EQ(client.wait(client.submit(small_campaign(seed, 4))).status, ResponseStatus::kOk);
+  }
+
+  const obs::MetricsSnapshot remote = obs::decode_stats(client.stats().stats);
+  const auto gauge = [&](const std::string& name) -> std::optional<double> {
+    for (const auto& [gauge_name, value] : remote.gauges) {
+      if (gauge_name == name) return value;
+    }
+    return std::nullopt;
+  };
+  ASSERT_TRUE(gauge("robust.queue_retained").has_value());
+  EXPECT_EQ(*gauge("robust.queue_retained"), 0.0);
+  EXPECT_EQ(gauge("serve.queue_depth").value_or(-1.0), 0.0);
+  EXPECT_EQ(server.shutdown().campaigns_completed, 24u);
 }
 
 TEST(StatsFrame, MalformedStatsPayloadGetsErrorResponseOnALiveConnection) {

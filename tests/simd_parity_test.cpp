@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -146,6 +148,37 @@ fabsim::FabSimulator make_simulator(defect::DefectFieldParams field) {
                         units::Micrometers{100.0}, 50}};
 }
 
+/// Sizes the LUT lookup treats specially, for a LUT over [xmin, xmax]
+/// with `bins` bins: every node and the doubles on either side of it,
+/// every hint-cell lower edge and the double just below it, plus a
+/// dense log grid.  Mirrors the node and hint-cell formulas of
+/// KillProbabilityLut's constructor.
+std::vector<double> lut_probe_sizes(double xmin, double xmax, int bins) {
+  std::vector<double> xs;
+  const auto around = [&](double x) {
+    xs.push_back(std::nextafter(x, 0.0));
+    xs.push_back(x);
+    xs.push_back(std::nextafter(x, xmax * 2.0));
+  };
+  const double log_xmin = std::log(xmin);
+  const double dlog = (std::log(xmax) - log_xmin) / bins;
+  for (int i = 0; i <= bins; ++i) {
+    around(i == 0 ? xmin : i == bins ? xmax : std::exp(log_xmin + i * dlog));
+  }
+  const auto bits_min = std::bit_cast<std::int64_t>(xmin);
+  const std::int64_t span = std::bit_cast<std::int64_t>(xmax) - bits_min;
+  int shift = 0;
+  while ((span >> shift) >= 8191) ++shift;
+  for (std::int64_t k = 0; k <= (span >> shift); ++k) {
+    const double edge = std::bit_cast<double>(bits_min + (k << shift));
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(edge);
+  }
+  const int grid = 4 * bins + 1000;
+  for (int i = 0; i <= grid; ++i) xs.push_back(xmin * std::exp(i * (std::log(xmax / xmin) / grid)));
+  return xs;
+}
+
 TEST(SimdParity, KillLutBatch) {
   const fabsim::FabSimulator sim = make_simulator(defect::DefectFieldParams{});
   const fabsim::KillProbabilityLut& lut = sim.kill_lut();
@@ -177,6 +210,42 @@ TEST(SimdParity, KillLutBatch) {
   for (const SimdLevel level : levels()) {
     lut.evaluate_batch_at(level, xs.data(), got.data(), xs.size());
     expect_bitwise_equal(ref, got, "evaluate_batch (full)", xs.size());
+  }
+
+  // Other table shapes: the fewest bins allowed, a support spanning a
+  // factor of 2 (few hint cells per bin) and one spanning 1e6 (many
+  // bins per hint cell), probed densely at every node and hint-cell
+  // edge.  Every lane must reproduce operator() bitwise, and operator()
+  // must track the model -- a hint pointing past the bracketing bin
+  // would interpolate the wrong chord.
+  struct LutShape {
+    double xmin, xmax;
+    int bins;
+  };
+  const LutShape shapes[] = {
+      {sizes.xmin().value(), sizes.xmax().value(), 8},
+      {0.1, 0.2, 8},
+      {0.1, 0.2, 2048},
+      {0.01, 1e4, 8},
+      {0.01, 1e4, 2048},
+      {0.3, 3.0, 333},
+  };
+  for (const LutShape& shape : shapes) {
+    const fabsim::KillProbabilityLut table(sim.kill_model(), units::Micrometers{shape.xmin},
+                                           units::Micrometers{shape.xmax}, shape.bins);
+    const std::vector<double> probes = lut_probe_sizes(shape.xmin, shape.xmax, shape.bins);
+    std::vector<double> want(probes.size()), have(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      want[i] = table(units::Micrometers{probes[i]});
+      const double direct = sim.kill_model().kill_probability(units::Micrometers{probes[i]});
+      ASSERT_LE(std::abs(want[i] - direct), 1e-6 * std::max(direct, 1e-300))
+          << "size " << probes[i] << " bins " << shape.bins << " [" << shape.xmin << ", "
+          << shape.xmax << "]";
+    }
+    for (const SimdLevel level : levels()) {
+      table.evaluate_batch_at(level, probes.data(), have.data(), probes.size());
+      expect_bitwise_equal(want, have, "evaluate_batch (shape)", probes.size());
+    }
   }
 }
 
