@@ -24,7 +24,6 @@
 #include "nanocost/core/generalized_cost.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
-#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/simulator.hpp"
 #include "nanocost/geometry/wafer_map.hpp"
@@ -128,37 +127,6 @@ void BM_FabSimWafer(benchmark::State& state) {
 }
 BENCHMARK(BM_FabSimWafer);
 
-void BM_FabSimLot(benchmark::State& state) {
-  const fabsim::FabSimulator sim = make_fabsim();
-  exec::ThreadPool pool(static_cast<int>(state.range(0)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(16, seed++, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_FabSimLot)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_RiskMonteCarlo(benchmark::State& state) {
-  const core::UncertainInputs inputs = make_risk_inputs();
-  exec::ThreadPool pool(static_cast<int>(state.range(0)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::monte_carlo_cost(inputs, 300.0, 4000, seed++, 0.0, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() * 4000);
-}
-BENCHMARK(BM_RiskMonteCarlo)->Arg(1)->Arg(2)->Arg(8);
-
-void BM_RobustSd(benchmark::State& state) {
-  const core::UncertainInputs inputs = make_risk_inputs();
-  exec::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::robust_sd(inputs, 0.9, 120.0, 1500.0, 16, 500, 1, &pool));
-  }
-}
-BENCHMARK(BM_RobustSd)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
-
 void BM_GeneralizedEvaluate(benchmark::State& state) {
   core::ProductScenario scenario;
   scenario.transistors = 1e7;
@@ -177,23 +145,6 @@ void BM_OptimalSd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimalSd);
-
-void BM_AnnealPlace(benchmark::State& state) {
-  netlist::GeneratorParams gen;
-  gen.gate_count = static_cast<std::int32_t>(state.range(0));
-  gen.locality = 0.4;
-  const netlist::Netlist nl = netlist::generate_random_logic(gen);
-  const auto cols = static_cast<std::int32_t>(std::ceil(std::sqrt(gen.gate_count * 2.4)));
-  const auto rows = static_cast<std::int32_t>(
-      std::ceil(gen.gate_count * 1.2 / static_cast<double>(cols)));
-  place::AnnealParams params;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    params.seed = seed++;
-    benchmark::DoNotOptimize(place::anneal_place(nl, rows, cols, params));
-  }
-}
-BENCHMARK(BM_AnnealPlace)->Arg(200)->Arg(500)->Unit(benchmark::kMillisecond);
 
 void BM_GlobalRoute(benchmark::State& state) {
   netlist::GeneratorParams gen;
@@ -380,15 +331,6 @@ void write_bench_json() {
   run_ladder("risk_mc_20000", cases, [&](exec::ThreadPool& pool) {
     benchmark::DoNotOptimize(core::monte_carlo_cost(inputs, 300.0, 20000, 1, 0.0, &pool));
   });
-  {
-    // The served form of the same Monte-Carlo: the deadline-aware entry
-    // point a risk request runs (no cancel token here, so it runs whole).
-    exec::ThreadPool pool(1);
-    run_serial("risk_mc_partial_20000", cases, [&] {
-      benchmark::DoNotOptimize(
-          core::monte_carlo_cost_partial(inputs, 300.0, 20000, 1, 0.0, &pool));
-    });
-  }
   run_ladder("robust_sd_24x2000", cases, [&](exec::ThreadPool& pool) {
     benchmark::DoNotOptimize(core::robust_sd(inputs, 0.9, 120.0, 1500.0, 24, 2000, 1, &pool));
   });

@@ -88,7 +88,8 @@ void require_die_budget(double die_budget);
 /// over-budget probability threshold on per-die cost.  Samples are
 /// generated in parallel on `pool` (null: global pool); sample i always
 /// consumes the stream seeded with SeedSequence::for_task(seed, i), so
-/// the result is identical for every thread count.
+/// the result is identical for every thread count.  Always runs whole:
+/// an ambient cancel token is ignored (see monte_carlo_cost_partial).
 [[nodiscard]] RiskResult monte_carlo_cost(const UncertainInputs& inputs, double s_d,
                                           int samples = 4000, std::uint64_t seed = 1,
                                           double die_budget = 0.0,

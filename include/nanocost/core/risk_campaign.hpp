@@ -47,8 +47,9 @@ struct PartialRisk final {
 /// completed leading chunks -- bitwise what monte_carlo_cost over that
 /// sample prefix computes, at any thread count -- with the 95% CI on
 /// the mean widened by the smaller survivor count.  Fewer than 2
-/// completed samples leaves `result` zeroed.  With no ambient token
-/// this costs one relaxed atomic load over monte_carlo_cost.
+/// completed samples leaves `result` zeroed.  monte_carlo_cost is this
+/// driver under an explicit invalid token, so with no ambient token the
+/// two agree bitwise.
 [[nodiscard]] PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d,
                                                    int samples = 4000, std::uint64_t seed = 1,
                                                    double die_budget = 0.0,
@@ -57,7 +58,8 @@ struct PartialRisk final {
 /// CampaignTask over risk_sample_cost_batch, one call per chunk.
 class RiskCampaign final : public robust::CampaignTask {
  public:
-  /// Samples per chunk; matches monte_carlo_cost's parallel grain.
+  /// The risk kernel's one sample grain: monte_carlo_cost,
+  /// monte_carlo_cost_partial and robust_sd chunk by it too.
   static constexpr std::int64_t kGrain = 128;
 
   RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64_t samples,

@@ -12,13 +12,15 @@
 
 namespace nanocost::core {
 
-/// Eq. (1): C_tr = C_w / (N_tr * N_ch * Y).
+/// Eq. (1): C_tr = C_w / (N_tr * N_ch * Y).  Throws std::overflow_error
+/// naming "eq. (1)" when the result is not finite (e.g. Y = denorm_min).
 [[nodiscard]] units::Money cost_per_transistor_eq1(units::Money wafer_cost,
                                                    double transistors_per_chip,
                                                    double chips_per_wafer,
                                                    units::Probability yield);
 
-/// Eq. (3): C_tr = C_sq * lambda^2 * s_d / Y.
+/// Eq. (3): C_tr = C_sq * lambda^2 * s_d / Y.  Throws
+/// std::overflow_error naming "eq. (3)" when the result is not finite.
 [[nodiscard]] units::Money cost_per_transistor_eq3(units::CostPerArea manufacturing_cost,
                                                    units::Micrometers lambda, double s_d,
                                                    units::Probability yield);

@@ -24,8 +24,9 @@ namespace nanocost::fabsim {
 /// CampaignTask over FabSimulator::run_units.
 class FabLotCampaign final : public robust::CampaignTask {
  public:
-  /// Wafers per chunk -- matches the lot simulator's parallel grain, so
-  /// campaign chunks and plain-run chunks cover identical wafer ranges.
+  /// The lot simulator's one wafer grain: FabSimulator's lot and ramp
+  /// drivers chunk by it too, so campaign chunks and plain-run chunks
+  /// cover identical wafer ranges.
   static constexpr std::int64_t kGrain = 4;
 
   /// `sim` must outlive the campaign.

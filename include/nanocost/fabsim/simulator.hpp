@@ -27,6 +27,10 @@ namespace nanocost::exec {
 class ThreadPool;
 }
 
+namespace nanocost::robust {
+class CancelToken;
+}
+
 namespace nanocost::fabsim {
 
 /// Probability that a defect of a given size landing uniformly on the
@@ -166,7 +170,8 @@ class FabSimulator final {
   /// Simulate `n_wafers` at constant defect density.  Wafers execute in
   /// parallel on `pool` (null: the global pool); wafer i always consumes
   /// the RNG stream seeded with SeedSequence::for_task(seed, i), so the
-  /// result is identical for every thread count and schedule.
+  /// result is identical for every thread count and schedule.  Always
+  /// runs whole: an ambient cancel token is ignored (see run_partial).
   [[nodiscard]] LotResult run(std::int64_t n_wafers, std::uint64_t seed = 42,
                               exec::ThreadPool* pool = nullptr) const;
 
@@ -175,7 +180,8 @@ class FabSimulator final {
   /// returned lot covers exactly the completed chunk frontier --
   /// bitwise what run() on frontier_chunks * grain wafers produces, at
   /// any thread count -- with completeness and the frontier reported.
-  /// With no ambient token this is run() plus one relaxed atomic load.
+  /// run() is this driver under an explicit invalid token, so with no
+  /// ambient token the two agree bitwise.
   [[nodiscard]] PartialLot run_partial(std::int64_t n_wafers, std::uint64_t seed = 42,
                                        exec::ThreadPool* pool = nullptr) const;
 
@@ -249,6 +255,20 @@ class FabSimulator final {
   /// the batched RNG, then scatter the kills into per-site fault counts.
   void simulate_wafer(exec::SplitMix64& rng, const defect::DefectField& field,
                       WaferResult& result, WaferScratch& scratch) const;
+
+  /// The one per-wafer loop body: wafers [begin, end) serially, wafer i
+  /// on the stream SeedSequence::for_task(seed, i) into
+  /// results[i - begin], after the `fabsim.wafer` injection site.
+  void simulate_wafers(std::int64_t begin, std::int64_t end, std::uint64_t seed,
+                       const defect::DefectField& field, WaferResult* results,
+                       WaferScratch& scratch) const;
+
+  /// The lot driver behind run() and run_partial(): wafer chunks of
+  /// FabLotCampaign::kGrain, cancelled at chunk granularity by `token`
+  /// (an invalid token runs the whole lot).
+  [[nodiscard]] PartialLot run_impl(std::int64_t n_wafers, std::uint64_t seed,
+                                    exec::ThreadPool* pool,
+                                    const robust::CancelToken& token) const;
 };
 
 }  // namespace nanocost::fabsim

@@ -1,15 +1,19 @@
 #include "nanocost/core/risk.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/core/optimizer.hpp"
+#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/rng_batch.hpp"
 #include "nanocost/exec/seed.hpp"
+#include "nanocost/robust/cancel.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
 
@@ -51,22 +55,65 @@ double select_quantile(std::vector<double>& v, std::size_t& first, double q) {
   return at_lo * (1.0 - t) + at_hi * t;
 }
 
-/// Samples per parallel chunk; the chunk grid depends only on the
-/// sample count, so results are thread-count invariant.
-constexpr std::int64_t kSampleGrain = 128;
-
-std::vector<double> sample_costs(const UncertainInputs& inputs, double s_d, int samples,
-                                 std::uint64_t seed, exec::ThreadPool* pool) {
+/// The one risk sampler: fills `costs` with scenarios [0, samples) in
+/// chunks of RiskCampaign::kGrain, one risk_sample_cost_batch call per
+/// chunk, cancelled at chunk granularity by `token` (an invalid token
+/// prices every scenario).  The chunk grid depends only on the sample
+/// count, so results are thread-count invariant.
+exec::LoopStatus sample_costs(const UncertainInputs& inputs, double s_d, int samples,
+                              std::uint64_t seed, exec::ThreadPool* pool,
+                              const robust::CancelToken& token, std::vector<double>& costs) {
   if (samples < 10) {
     throw std::invalid_argument("risk analysis needs at least 10 samples");
   }
-  std::vector<double> costs(static_cast<std::size_t>(samples));
-  exec::parallel_for(pool, samples, kSampleGrain, [&](std::int64_t begin, std::int64_t end) {
-    risk_sample_cost_batch(inputs, s_d, seed, static_cast<std::uint64_t>(begin),
-                           static_cast<std::size_t>(end - begin),
-                           costs.data() + begin);
-  });
-  return costs;
+  costs.resize(static_cast<std::size_t>(samples));
+  const exec::LoopStatus status = exec::parallel_for_cancellable(
+      pool, samples, RiskCampaign::kGrain, token, [&](std::int64_t begin, std::int64_t end) {
+        risk_sample_cost_batch(inputs, s_d, seed, static_cast<std::uint64_t>(begin),
+                               static_cast<std::size_t>(end - begin), costs.data() + begin);
+      });
+  // Samples at/after the frontier may have run out of order; only the
+  // contiguous prefix is kept, so the result is a pure function of the
+  // frontier.
+  costs.resize(static_cast<std::size_t>(
+      std::min<std::int64_t>(samples, status.frontier * RiskCampaign::kGrain)));
+  return status;
+}
+
+/// Summary plus the 95% CI on the mean over the completed samples: the
+/// one reduction the partial driver and RiskCampaign::assemble share.
+/// Throws (summarize_cost_samples) on fewer than 2 samples.
+void summarize_completed(PartialRisk& out, std::vector<double> costs,
+                         const UncertainInputs& inputs, double die_budget) {
+  const double n = static_cast<double>(costs.size());
+  out.result = summarize_cost_samples(std::move(costs), inputs, die_budget);
+  const double half_width = 1.96 * out.result.stddev / std::sqrt(n);
+  out.mean_ci_lo = out.result.mean - half_width;
+  out.mean_ci_hi = out.result.mean + half_width;
+}
+
+/// The risk Monte-Carlo driver behind monte_carlo_cost and
+/// monte_carlo_cost_partial.  Fewer than 2 completed samples leave the
+/// summary zeroed.
+PartialRisk monte_carlo_impl(const UncertainInputs& inputs, double s_d, int samples,
+                             std::uint64_t seed, double die_budget, exec::ThreadPool* pool,
+                             const robust::CancelToken& token) {
+  require_die_budget(die_budget);
+  std::vector<double> costs;
+  const exec::LoopStatus status = sample_costs(inputs, s_d, samples, seed, pool, token, costs);
+  // risk -> consumer boundary: a NaN sample (model escape or injected
+  // poison) must surface as a named diagnostic, not as a NaN mean that
+  // silently corrupts every quantile and optimizer decision downstream.
+  robust::check_finite_range(costs.data(), costs.size(), "risk.samples");
+  PartialRisk out;
+  out.completed_samples = static_cast<std::int64_t>(costs.size());
+  out.completeness = status.completeness();
+  out.frontier_chunks = status.frontier;
+  out.cancelled = status.cancelled;
+  if (out.completed_samples >= 2) {
+    summarize_completed(out, std::move(costs), inputs, die_budget);
+  }
+  return out;
 }
 
 }  // namespace
@@ -241,13 +288,17 @@ void require_die_budget(double die_budget) {
 RiskResult monte_carlo_cost(const UncertainInputs& inputs, double s_d, int samples,
                             std::uint64_t seed, double die_budget,
                             exec::ThreadPool* pool) {
-  require_die_budget(die_budget);
-  std::vector<double> costs = sample_costs(inputs, s_d, samples, seed, pool);
-  // risk -> consumer boundary: a NaN sample (model escape or injected
-  // poison) must surface as a named diagnostic, not as a NaN mean that
-  // silently corrupts every quantile and optimizer decision downstream.
-  robust::check_finite_range(costs.data(), costs.size(), "risk.samples");
-  return summarize_cost_samples(std::move(costs), inputs, die_budget);
+  // An invalid token never cancels and ignores any ambient scope.
+  return monte_carlo_impl(inputs, s_d, samples, seed, die_budget, pool,
+                          robust::CancelToken{})
+      .result;
+}
+
+PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, int samples,
+                                     std::uint64_t seed, double die_budget,
+                                     exec::ThreadPool* pool) {
+  return monte_carlo_impl(inputs, s_d, samples, seed, die_budget, pool,
+                          robust::current_cancel_token());
 }
 
 namespace {
@@ -268,13 +319,16 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
   // Grid points are independent and run in parallel; common random
   // numbers hold because scenario seeds derive from (seed, sample
   // index) only -- every grid point prices the identical scenario set.
-  // The nested sample_costs loop runs inline on the worker lane.
+  // The nested sampler runs inline on the worker lane under an explicit
+  // invalid token, never the ambient one: a grid point is whole or not
+  // run, which is what robust_sd_partial's prefix contract needs.
   std::vector<double> quantile_cost(grid.size());
   const exec::LoopStatus status = exec::parallel_for_cancellable(
       pool, steps, 1, token, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
-          std::vector<double> costs =
-              sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool);
+          std::vector<double> costs;
+          sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool,
+                       robust::CancelToken{}, costs);
           std::size_t selected = 0;
           quantile_cost[static_cast<std::size_t>(i)] =
               select_quantile(costs, selected, quantile);
@@ -323,6 +377,64 @@ PartialSweep robust_sd_partial(const UncertainInputs& inputs, double quantile, d
   out.completeness = o.status.completeness();
   out.frontier_chunks = o.status.frontier;
   out.cancelled = o.status.cancelled;
+  return out;
+}
+
+RiskCampaign::RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64_t samples,
+                           std::uint64_t seed, double die_budget)
+    : inputs_(inputs), s_d_(s_d), samples_(samples), seed_(seed), die_budget_(die_budget) {
+  if (samples < 10) {
+    throw std::invalid_argument("risk campaign needs at least 10 samples");
+  }
+  require_die_budget(die_budget);
+}
+
+std::uint64_t RiskCampaign::config_fingerprint() const {
+  std::uint64_t h = exec::splitmix64(seed_);
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(s_d_));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.nominal.transistors_per_chip));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.nominal.n_wafers));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.volume_sigma_rel));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(die_budget_));
+  return h;
+}
+
+void RiskCampaign::run_chunk(std::int64_t begin, std::int64_t end,
+                             std::vector<std::uint8_t>& blob) const {
+  std::vector<double> costs(static_cast<std::size_t>(end - begin));
+  risk_sample_cost_batch(inputs_, s_d_, seed_, static_cast<std::uint64_t>(begin), costs.size(),
+                         costs.data());
+  // A NaN here (model escape or injected poison) fails the chunk, which
+  // the engine retries or quarantines -- never serialized.
+  robust::check_finite_range(costs.data(), costs.size(), "risk.sample_chunk");
+  // Chunk blob layout (bytes/codec.hpp): one f64 per sample, no length.
+  bytes::ByteWriter w;
+  w.reserve(costs.size() * 8);
+  for (const double c : costs) w.f64(c);
+  blob = w.take();
+}
+
+PartialRisk RiskCampaign::assemble(const robust::CampaignResult& result) const {
+  PartialRisk out;
+  std::vector<double> costs;
+  costs.reserve(static_cast<std::size_t>(result.completed_units));
+  for (std::size_t c = 0; c < result.chunks.size(); ++c) {
+    const auto& blob = result.chunks[c];
+    if (blob.empty()) continue;
+    bytes::ByteReader r(blob, "risk campaign blob");
+    if (blob.size() % 8 != 0) r.fail("has a torn sample");
+    while (r.remaining() > 0) {
+      costs.push_back(r.f64());
+      // run_chunk never serializes a non-finite sample.
+      if (!std::isfinite(costs.back())) r.fail("holds a non-finite sample");
+    }
+  }
+  out.completed_samples = static_cast<std::int64_t>(costs.size());
+  out.completeness = result.completeness();
+  out.failed_samples = result.failed_units();
+  out.cancelled = result.expired;
+  out.frontier_chunks = result.frontier_chunks;
+  summarize_completed(out, std::move(costs), inputs_, die_budget_);
   return out;
 }
 

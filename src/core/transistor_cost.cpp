@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nanocost/units/quantity.hpp"
 
@@ -22,6 +23,17 @@ void require_yield_positive(units::Probability y, const char* what) {
   }
 }
 
+/// Eqs. (1) and (3) are total on their output: a quotient that
+/// overflows (a denormal yield, inputs near 1e300) is a named error,
+/// never a silent inf.
+units::Money require_finite_cost(double cost, const char* equation) {
+  if (!std::isfinite(cost)) {
+    throw std::overflow_error(std::string(equation) +
+                              " cost per transistor overflows: the result is not finite");
+  }
+  return units::Money{cost};
+}
+
 }  // namespace
 
 units::Money cost_per_transistor_eq1(units::Money wafer_cost, double transistors_per_chip,
@@ -30,8 +42,8 @@ units::Money cost_per_transistor_eq1(units::Money wafer_cost, double transistors
   units::require_positive(transistors_per_chip, "transistors per chip");
   units::require_positive(chips_per_wafer, "chips per wafer");
   require_yield_positive(yield, "yield");
-  return units::Money{wafer_cost.value() /
-                      (transistors_per_chip * chips_per_wafer * yield.value())};
+  return require_finite_cost(
+      wafer_cost.value() / (transistors_per_chip * chips_per_wafer * yield.value()), "eq. (1)");
 }
 
 units::Money cost_per_transistor_eq3(units::CostPerArea manufacturing_cost,
@@ -41,8 +53,8 @@ units::Money cost_per_transistor_eq3(units::CostPerArea manufacturing_cost,
   units::require_positive(lambda, "lambda");
   units::require_positive(s_d, "s_d");
   require_yield_positive(yield, "yield");
-  return units::Money{manufacturing_cost.value() * lambda_squared_cm2(lambda) * s_d /
-                      yield.value()};
+  return require_finite_cost(
+      manufacturing_cost.value() * lambda_squared_cm2(lambda) * s_d / yield.value(), "eq. (3)");
 }
 
 units::CostPerArea design_cost_per_area_eq5(units::Money mask_cost, units::Money design_cost,

@@ -92,13 +92,7 @@ PartialLot FabLotCampaign::assemble(const robust::CampaignResult& result) const 
   out.completeness = result.completeness();
   out.failed_wafers = result.failed_units();
   out.cancelled = result.expired;
-  for (const auto& blob : result.chunks) {
-    if (!blob.empty()) {
-      ++out.frontier_chunks;
-    } else {
-      break;
-    }
-  }
+  out.frontier_chunks = result.frontier_chunks;
   return out;
 }
 

@@ -9,8 +9,10 @@
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/rng_batch.hpp"
 #include "nanocost/exec/seed.hpp"
+#include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/trace.hpp"
+#include "nanocost/robust/cancel.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
@@ -25,10 +27,6 @@ namespace {
 /// Injection site evaluated once per simulated wafer; the unit index is
 /// the (lot- or ramp-global) wafer index.
 constexpr robust::FaultSite kWaferFaultSite{"fabsim.wafer"};
-
-/// Wafers per parallel chunk.  The chunk grid is a function of the lot
-/// size only, never of the thread count.
-constexpr std::int64_t kWaferGrain = 4;
 
 }  // namespace
 
@@ -394,14 +392,11 @@ std::vector<std::int32_t> FabSimulator::snapshot_faults(std::uint64_t seed) cons
 
 namespace {
 
-/// Folds per-chunk histograms into the lot and totals up the wafers.
-void finalize_lot(LotResult& lot, std::vector<std::int64_t>&& histogram) {
-  if (histogram.size() > lot.fault_histogram.size()) {
-    lot.fault_histogram.resize(histogram.size(), 0);
-  }
-  for (std::size_t k = 0; k < histogram.size(); ++k) {
-    lot.fault_histogram[k] += histogram[k];
-  }
+/// Folds a chunk's die-level fault histogram into `into`, growing it as
+/// needed.
+void fold_histogram(std::vector<std::int64_t>& into, const std::vector<std::int64_t>& from) {
+  if (from.size() > into.size()) into.resize(from.size(), 0);
+  for (std::size_t k = 0; k < from.size(); ++k) into[k] += from[k];
 }
 
 void total_up(LotResult& lot) {
@@ -413,8 +408,19 @@ void total_up(LotResult& lot) {
 
 }  // namespace
 
-LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
-                            exec::ThreadPool* pool) const {
+void FabSimulator::simulate_wafers(std::int64_t begin, std::int64_t end, std::uint64_t seed,
+                                   const defect::DefectField& field, WaferResult* results,
+                                   WaferScratch& scratch) const {
+  for (std::int64_t i = begin; i < end; ++i) {
+    robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
+    exec::SplitMix64 rng(exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
+    simulate_wafer(rng, field, results[i - begin], scratch);
+  }
+}
+
+PartialLot FabSimulator::run_impl(std::int64_t n_wafers, std::uint64_t seed,
+                                  exec::ThreadPool* pool,
+                                  const robust::CancelToken& token) const {
   if (n_wafers < 1) {
     throw std::invalid_argument("lot needs at least one wafer");
   }
@@ -422,53 +428,20 @@ LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
   span.arg("wafers", static_cast<std::uint64_t>(n_wafers));
   const defect::DefectField field(wafer_, sizes_, field_params_);
 
-  LotResult lot;
-  lot.fault_histogram.assign(4, 0);
-  lot.wafers.assign(static_cast<std::size_t>(n_wafers), WaferResult{});
-  exec::parallel_reduce(
-      pool, n_wafers, kWaferGrain, [] { return WaferScratch{}; },
-      [&](std::int64_t begin, std::int64_t end, WaferScratch& scratch) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
-          exec::SplitMix64 rng(
-              exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
-          simulate_wafer(rng, field, lot.wafers[static_cast<std::size_t>(i)], scratch);
-        }
-      },
-      [&](WaferScratch&& scratch) { finalize_lot(lot, std::move(scratch.histogram)); });
-  total_up(lot);
-  return lot;
-}
-
-PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
-                                     exec::ThreadPool* pool) const {
-  if (n_wafers < 1) {
-    throw std::invalid_argument("lot needs at least one wafer");
-  }
-  obs::ObsSpan span("fabsim.lot_partial");
-  span.arg("wafers", static_cast<std::uint64_t>(n_wafers));
-  const robust::CancelToken token = robust::current_cancel_token();
-  const defect::DefectField field(wafer_, sizes_, field_params_);
-
   PartialLot out;
   LotResult& lot = out.lot;
   lot.fault_histogram.assign(4, 0);
   lot.wafers.assign(static_cast<std::size_t>(n_wafers), WaferResult{});
   const exec::LoopStatus status = exec::parallel_reduce_cancellable(
-      pool, n_wafers, kWaferGrain, token, [] { return WaferScratch{}; },
+      pool, n_wafers, FabLotCampaign::kGrain, token, [] { return WaferScratch{}; },
       [&](std::int64_t begin, std::int64_t end, WaferScratch& scratch) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
-          exec::SplitMix64 rng(
-              exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
-          simulate_wafer(rng, field, lot.wafers[static_cast<std::size_t>(i)], scratch);
-        }
+        simulate_wafers(begin, end, seed, field, lot.wafers.data() + begin, scratch);
       },
-      [&](WaferScratch&& scratch) { finalize_lot(lot, std::move(scratch.histogram)); });
+      [&](WaferScratch&& scratch) { fold_histogram(lot.fault_histogram, scratch.histogram); });
   // Wafers at/after the frontier may have run out of order; discard them
   // so the lot is a pure function of the frontier.
   const std::int64_t completed =
-      std::min(n_wafers, status.frontier * kWaferGrain);
+      std::min(n_wafers, status.frontier * FabLotCampaign::kGrain);
   for (std::int64_t i = completed; i < n_wafers; ++i) {
     lot.wafers[static_cast<std::size_t>(i)] = WaferResult{};
   }
@@ -478,6 +451,17 @@ PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
   out.frontier_chunks = status.frontier;
   out.cancelled = status.cancelled;
   return out;
+}
+
+LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
+                            exec::ThreadPool* pool) const {
+  // An invalid token never cancels and ignores any ambient scope.
+  return run_impl(n_wafers, seed, pool, robust::CancelToken{}).lot;
+}
+
+PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
+                                     exec::ThreadPool* pool) const {
+  return run_impl(n_wafers, seed, pool, robust::current_cancel_token());
 }
 
 void FabSimulator::run_units(std::int64_t begin, std::int64_t end, std::uint64_t seed,
@@ -490,17 +474,8 @@ void FabSimulator::run_units(std::int64_t begin, std::int64_t end, std::uint64_t
   span.arg("wafers", static_cast<std::uint64_t>(end - begin));
   const defect::DefectField field(wafer_, sizes_, field_params_);
   WaferScratch scratch;
-  for (std::int64_t i = begin; i < end; ++i) {
-    robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
-    exec::SplitMix64 rng(exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
-    simulate_wafer(rng, field, results[i - begin], scratch);
-  }
-  if (scratch.histogram.size() > histogram.size()) {
-    histogram.resize(scratch.histogram.size(), 0);
-  }
-  for (std::size_t k = 0; k < scratch.histogram.size(); ++k) {
-    histogram[k] += scratch.histogram[k];
-  }
+  simulate_wafers(begin, end, seed, field, results, scratch);
+  fold_histogram(histogram, scratch.histogram);
 }
 
 std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
@@ -530,11 +505,10 @@ std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
     lot.fault_histogram.assign(4, 0);
     lot.wafers.assign(static_cast<std::size_t>(batch), WaferResult{});
     exec::parallel_reduce(
-        pool, batch, kWaferGrain, [] { return RampScratch{}; },
+        pool, batch, FabLotCampaign::kGrain, [] { return RampScratch{}; },
         [&](std::int64_t begin, std::int64_t end, RampScratch& scratch) {
           for (std::int64_t i = begin; i < end; ++i) {
             const std::int64_t global = done + i;  // cross-checkpoint wafer index
-            robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(global));
             const double density = curve.density_at(static_cast<double>(global));
             if (!scratch.field || density != scratch.density) {
               defect::DefectFieldParams params = field_params_;
@@ -542,14 +516,12 @@ std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
               scratch.field.emplace(wafer_, sizes_, params);
               scratch.density = density;
             }
-            exec::SplitMix64 rng(
-                exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(global)));
-            simulate_wafer(rng, *scratch.field, lot.wafers[static_cast<std::size_t>(i)],
-                           scratch.wafer);
+            simulate_wafers(global, global + 1, seed, *scratch.field,
+                            &lot.wafers[static_cast<std::size_t>(i)], scratch.wafer);
           }
         },
         [&](RampScratch&& scratch) {
-          finalize_lot(lot, std::move(scratch.wafer.histogram));
+          fold_histogram(lot.fault_histogram, scratch.wafer.histogram);
         });
     total_up(lot);
     checkpoints.push_back(std::move(lot));

@@ -718,24 +718,10 @@ struct Server::Impl {
     }
     {
       std::unique_lock<std::mutex> lk(mu);
-      auto it = light_inflight.find(job.key);
-      if (it != light_inflight.end()) {
-        // An identical job is already computing: piggyback.
-        it->second.push_back(Waiter{conn, request_id, start_us, conn->tenant});
-        conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-        coalesced_count.fetch_add(1, std::memory_order_relaxed);
-        count_coalesced();
-        ++inflight_waiters;
-        ++coalesced_waiters;
-        set_inflight(inflight_waiters);
-        set_coalesced_inflight(coalesced_waiters);
-        return true;
-      }
-      light_inflight[job.key] = {Waiter{conn, request_id, start_us, conn->tenant}};
+      std::vector<Waiter>& group = light_inflight[job.key];
+      add_waiter_locked(group, Waiter{conn, request_id, start_us, conn->tenant});
+      if (group.size() > 1) return true;  // an identical job is already computing
       light_queue.push_back(std::move(job));
-      conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-      ++inflight_waiters;
-      set_inflight(inflight_waiters);
     }
     light_cv.notify_one();
     return true;
@@ -781,15 +767,9 @@ struct Server::Impl {
       }
       auto it = campaign_inflight.find(key);
       if (it != campaign_inflight.end()) {
-        pending.at(it->second).waiters.push_back(Waiter{conn, request_id, start_us, tenant});
         ++tenant_outstanding[tenant];
-        conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-        coalesced_count.fetch_add(1, std::memory_order_relaxed);
-        count_coalesced();
-        ++inflight_waiters;
-        ++coalesced_waiters;
-        set_inflight(inflight_waiters);
-        set_coalesced_inflight(coalesced_waiters);
+        add_waiter_locked(pending.at(it->second).waiters,
+                          Waiter{conn, request_id, start_us, tenant});
         return true;
       }
       auto task = std::make_unique<fabsim::FabLotCampaign>(*sim, job.n_wafers, job.seed);
@@ -821,14 +801,11 @@ struct Server::Impl {
         PendingCampaign pc;
         pc.sim = std::move(sim);
         pc.task = std::move(task);
-        pc.waiters.push_back(Waiter{conn, request_id, start_us, conn->tenant});
         pc.key = key;
+        add_waiter_locked(pc.waiters, Waiter{conn, request_id, start_us, conn->tenant});
         pending.emplace(verdict.slot, std::move(pc));
         campaign_inflight.emplace(key, verdict.slot);
         ++tenant_outstanding[conn->tenant];
-        conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-        ++inflight_waiters;
-        set_inflight(inflight_waiters);
         admitted = true;
       }
       set_queue_gauges(queue);
@@ -864,20 +841,8 @@ struct Server::Impl {
       lk.lock();
       std::vector<Waiter> waiters = std::move(light_inflight[job.key]);
       light_inflight.erase(job.key);
-      inflight_waiters -= static_cast<std::int64_t>(waiters.size());
-      if (waiters.size() > 1) {
-        coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
-      }
-      set_inflight(inflight_waiters);
-      set_coalesced_inflight(coalesced_waiters);
-      lk.unlock();
-      const JobKind kind = job.is_eq4 ? JobKind::kEq4 : JobKind::kRisk;
-      for (std::size_t i = 0; i < waiters.size(); ++i) {
-        r.request_id = waiters[i].request_id;
-        r.coalesced = i > 0;
-        send_response(waiters[i].conn, r, JobClock{kind, waiters[i].start_us});
-        waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      }
+      retire_and_answer(lk, std::move(waiters), std::move(r),
+                        job.is_eq4 ? JobKind::kEq4 : JobKind::kRisk);
       lk.lock();
     }
   }
@@ -901,12 +866,12 @@ struct Server::Impl {
   }
 
   void on_campaign_done(std::size_t slot, const robust::SubmissionOutcome& outcome) {
+    std::unique_lock<std::mutex> lk(mu);
+    auto it = pending.find(slot);
+    if (it == pending.end()) return;
     std::vector<Waiter> waiters;
     Response r;
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      auto it = pending.find(slot);
-      if (it == pending.end()) return;
+    {  // pc (simulator and task) is destroyed under mu
       PendingCampaign pc = std::move(it->second);
       pending.erase(it);
       campaign_inflight.erase(pc.key);
@@ -951,24 +916,51 @@ struct Server::Impl {
         r.completeness = 0.0;
       }
       if (r.status == ResponseStatus::kError) r = error_response(0, std::move(r.message));
-      inflight_waiters -= static_cast<std::int64_t>(waiters.size());
-      if (waiters.size() > 1) {
-        coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
-      }
-      for (const Waiter& w : waiters) {
-        auto tenant_it = tenant_outstanding.find(w.tenant);
-        if (tenant_it != tenant_outstanding.end() && tenant_it->second > 0) {
-          if (--tenant_it->second == 0) tenant_outstanding.erase(tenant_it);
-        }
-      }
-      set_inflight(inflight_waiters);
-      set_coalesced_inflight(coalesced_waiters);
-      set_queue_gauges(queue);
     }
+    for (const Waiter& w : waiters) {
+      auto tenant_it = tenant_outstanding.find(w.tenant);
+      if (tenant_it != tenant_outstanding.end() && tenant_it->second > 0) {
+        if (--tenant_it->second == 0) tenant_outstanding.erase(tenant_it);
+      }
+    }
+    set_queue_gauges(queue);
+    retire_and_answer(lk, std::move(waiters), std::move(r), JobKind::kCampaign);
+  }
+
+  // ---- coalescing ------------------------------------------------------
+
+  /// Registers `w` in an in-flight group (caller holds mu).  The first
+  /// waiter owns the computation; a later one joins an in-flight twin
+  /// and is counted as coalesced.
+  void add_waiter_locked(std::vector<Waiter>& group, Waiter w) {
+    group.push_back(std::move(w));
+    group.back().conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
+    ++inflight_waiters;
+    if (group.size() > 1) {
+      coalesced_count.fetch_add(1, std::memory_order_relaxed);
+      count_coalesced();
+      ++coalesced_waiters;
+      set_coalesced_inflight(coalesced_waiters);
+    }
+    set_inflight(inflight_waiters);
+  }
+
+  /// Retires a finished group's waiters from the in-flight gauges under
+  /// `lk` (held on mu), then unlocks and answers every waiter with `r`;
+  /// all but the first (the owner) are marked coalesced.
+  void retire_and_answer(std::unique_lock<std::mutex>& lk, std::vector<Waiter> waiters,
+                         Response r, JobKind kind) {
+    inflight_waiters -= static_cast<std::int64_t>(waiters.size());
+    if (waiters.size() > 1) {
+      coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
+    }
+    set_inflight(inflight_waiters);
+    set_coalesced_inflight(coalesced_waiters);
+    lk.unlock();
     for (std::size_t i = 0; i < waiters.size(); ++i) {
       r.request_id = waiters[i].request_id;
       r.coalesced = i > 0;
-      send_response(waiters[i].conn, r, JobClock{JobKind::kCampaign, waiters[i].start_us});
+      send_response(waiters[i].conn, r, JobClock{kind, waiters[i].start_us});
       waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
     }
   }

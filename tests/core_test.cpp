@@ -59,6 +59,47 @@ TEST(Eq3, MonotoneInEveryParameter) {
             base);
 }
 
+/// Runs `f`, which must throw std::overflow_error whose message names
+/// `equation`.
+template <typename F>
+void expect_overflow_naming(F&& f, const std::string& equation) {
+  try {
+    (void)f();
+    ADD_FAILURE() << "no exception; expected an overflow naming " << equation;
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find(equation), std::string::npos) << e.what();
+  }
+}
+
+TEST(Robustness, Eq1AndEq3AreDefinedOrNameTheOverflow) {
+  // Every input below passes the entry guards (a denormal yield is > 0);
+  // the quotient is then either finite or a std::overflow_error naming
+  // the equation -- never a silent inf.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  expect_overflow_naming(
+      [&] { return cost_per_transistor_eq1(Money{2000.0}, 1e7, 100.0, Probability{denorm}); },
+      "eq. (1)");
+  expect_overflow_naming(
+      [&] {
+        return cost_per_transistor_eq3(CostPerArea{8.0}, Micrometers{0.25}, 300.0,
+                                       Probability{denorm});
+      },
+      "eq. (3)");
+  expect_overflow_naming(
+      [] {
+        return cost_per_transistor_eq3(CostPerArea{8.0}, Micrometers{0.25}, 1e300,
+                                       Probability{1e-30});
+      },
+      "eq. (3)");
+  // Huge N_tr and s_d at a sane yield stay defined.
+  const double eq1 = cost_per_transistor_eq1(Money{2000.0}, 1e300, 100.0, Probability{0.5}).value();
+  EXPECT_TRUE(std::isfinite(eq1) && eq1 > 0.0) << eq1;
+  const double eq3 =
+      cost_per_transistor_eq3(CostPerArea{8.0}, Micrometers{0.25}, 1e300, Probability{0.8})
+          .value();
+  EXPECT_TRUE(std::isfinite(eq3) && eq3 > 0.0) << eq3;
+}
+
 TEST(Robustness, Eq1To5EntryPointsRejectNonFiniteInputs) {
   // A NaN slipping into any paper equation poisons every downstream
   // optimum silently; the entry points must refuse it loudly instead.

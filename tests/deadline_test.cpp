@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -598,6 +600,77 @@ TEST(SweepDeadline, PreExpiredTokenReturnsAnEmptySweep) {
   EXPECT_EQ(partial.completed_steps, 0);
   EXPECT_DOUBLE_EQ(partial.completeness, 0.0);
   EXPECT_EQ(partial.optimum.s_d, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Plain forms: each is its partial driver under an explicit invalid
+// token, so an ambient deadline -- even one already expired -- must not
+// reach it.
+
+TEST(PlainForms, IgnoreAPreExpiredAmbientTokenBitwise) {
+  const auto sim = make_simulator();
+  const core::UncertainInputs u = risk_inputs();
+  netlist::GeneratorParams gen;
+  gen.gate_count = 120;
+  gen.seed = 5;
+  const netlist::Netlist logic = netlist::generate_random_logic(gen);
+  place::AnnealParams params;
+  params.seed = 5;
+  // A per-die budget at the median, so prob_over_budget is informative.
+  const double die_budget =
+      core::monte_carlo_cost(u, 300.0, 2000, 7).p50 * u.nominal.transistors_per_chip;
+
+  // Each form flattens its result to doubles (counts are exact below
+  // 2^53) so one memcmp checks it bitwise.
+  struct Form {
+    const char* name;
+    std::function<std::vector<double>()> run;
+  };
+  const std::vector<Form> forms = {
+      {"FabSimulator::run",
+       [&] {
+         const fabsim::LotResult lot = sim.run(37, 5);
+         std::vector<double> v{static_cast<double>(lot.total_dies),
+                               static_cast<double>(lot.good_dies)};
+         for (const fabsim::WaferResult& w : lot.wafers) {
+           v.push_back(static_cast<double>(w.good_dies));
+           v.push_back(static_cast<double>(w.defects));
+           v.push_back(static_cast<double>(w.defects_on_dies));
+         }
+         for (const std::int64_t h : lot.fault_histogram) v.push_back(static_cast<double>(h));
+         return v;
+       }},
+      {"monte_carlo_cost",
+       [&] {
+         const core::RiskResult r = core::monte_carlo_cost(u, 300.0, 2000, 7, die_budget);
+         return std::vector<double>{r.mean, r.stddev, r.p10, r.p50, r.p90, r.prob_over_budget};
+       }},
+      {"robust_sd",
+       [&] {
+         const core::RobustOptimum r = core::robust_sd(u, 0.9, 150.0, 1000.0, 6, 200, 3);
+         return std::vector<double>{r.s_d, r.quantile_cost};
+       }},
+      {"anneal_place_multistart",
+       [&] {
+         const place::MultistartResult r =
+             place::anneal_place_multistart(logic, 8, 20, 3, params);
+         std::vector<double> v{static_cast<double>(r.best_start),
+                               static_cast<double>(r.starts), r.best.final_hpwl};
+         v.insert(v.end(), r.start_hpwls.begin(), r.start_hpwls.end());
+         return v;
+       }},
+  };
+  for (const Form& form : forms) {
+    const std::vector<double> plain = form.run();
+    const std::vector<double> under_expired = [&] {
+      const robust::CancelToken token = robust::CancelToken::with_deadline(-1.0);
+      robust::CancelScope scope(token);
+      return form.run();
+    }();
+    ASSERT_EQ(plain.size(), under_expired.size()) << form.name;
+    EXPECT_EQ(std::memcmp(plain.data(), under_expired.data(), plain.size() * sizeof(double)), 0)
+        << form.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
