@@ -34,6 +34,7 @@
 #include "nanocost/place/placer.hpp"
 #include "nanocost/regularity/extractor.hpp"
 #include "nanocost/route/router.hpp"
+#include "nanocost/serve/jobs.hpp"
 #include "nanocost/timing/sta.hpp"
 
 namespace {
@@ -284,12 +285,21 @@ std::vector<int> bench_thread_counts() {
   return counts;
 }
 
-/// Times serial `work()` (no thread ladder) and appends one case.
+/// Times serial `work()` (no thread ladder) and appends one case.  A
+/// sub-millisecond `work` runs `calls` times per rep, so each timed
+/// rep spans well above timer and cold-cache noise; the case reports
+/// ns per call.
 template <typename Work>
-void run_serial(const std::string& name, std::vector<TimedCase>& cases, Work&& work) {
+void run_serial(const std::string& name, std::vector<TimedCase>& cases, Work&& work,
+                int calls = 1) {
   TimedCase c;
   c.name = name;
-  c.ns_per_op = time_ns(work, kBenchReps);
+  c.ns_per_op = time_ns(
+                    [&] {
+                      for (int i = 0; i < calls; ++i) work();
+                    },
+                    kBenchReps) /
+                calls;
   c.obs_counters = collect_obs_counters(work);
   cases.push_back(std::move(c));
   std::printf("  %-24s threads=%-3d  %12.0f ns/op\n", name.c_str(), 1,
@@ -326,6 +336,14 @@ void write_bench_json() {
   const fabsim::FabSimulator sim = make_fabsim();
   run_ladder("fabsim_lot_200w", cases,
              [&](exec::ThreadPool& pool) { benchmark::DoNotOptimize(sim.run(200, 42, &pool)); });
+
+  // The per-request setup a served campaign pays before admission: the
+  // default job's wafer map plus its kill table from the process-wide
+  // memo (built once, then shared).
+  const serve::CampaignJob default_job;
+  run_serial(
+      "fabsim_simulator_build", cases,
+      [&] { benchmark::DoNotOptimize(serve::make_simulator(default_job)); }, 512);
 
   const core::UncertainInputs inputs = make_risk_inputs();
   run_ladder("risk_mc_20000", cases, [&](exec::ThreadPool& pool) {

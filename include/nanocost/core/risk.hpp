@@ -31,6 +31,9 @@ struct UncertainInputs final {
   double volume_sigma_rel = 0.5;      ///< lognormal sigma on N_w (demand risk)
 };
 
+/// Appends the nominal inputs and all four sigmas to a canonical key.
+void append_key(cache::KeyBuilder& key, const UncertainInputs& inputs);
+
 /// Distribution summary of C_tr at one s_d.
 struct RiskResult final {
   double mean = 0.0;

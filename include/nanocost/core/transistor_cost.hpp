@@ -10,10 +10,16 @@
 #include "nanocost/units/money.hpp"
 #include "nanocost/units/probability.hpp"
 
+namespace nanocost::cache {
+class KeyBuilder;
+}
+
 namespace nanocost::core {
 
 /// Eq. (1): C_tr = C_w / (N_tr * N_ch * Y).  Throws std::overflow_error
-/// naming "eq. (1)" when the result is not finite (e.g. Y = denorm_min).
+/// naming "eq. (1)" when the result is not finite (e.g. Y = denorm_min),
+/// and when the denominator N_tr * N_ch * Y overflows (which would
+/// otherwise return exactly 0).
 [[nodiscard]] units::Money cost_per_transistor_eq1(units::Money wafer_cost,
                                                    double transistors_per_chip,
                                                    double chips_per_wafer,
@@ -26,7 +32,9 @@ namespace nanocost::core {
                                                    units::Probability yield);
 
 /// Eq. (5): Cd_sq = (C_MA + C_DE) / (N_w * A_w) -- NRE amortized over
-/// all fabricated silicon.
+/// all fabricated silicon.  Throws std::overflow_error naming
+/// "eq. (5)" when N_w * A_w overflows (which would otherwise return
+/// exactly 0).
 [[nodiscard]] units::CostPerArea design_cost_per_area_eq5(units::Money mask_cost,
                                                           units::Money design_cost,
                                                           double n_wafers,
@@ -67,5 +75,11 @@ struct Eq4Breakdown final {
 /// Eq. (4): C_tr = lambda^2 s_d (Cm_sq + Cd_sq) / (u Y), with Cd_sq
 /// from eq. (5) and C_DE from eq. (6).
 [[nodiscard]] Eq4Breakdown cost_per_transistor_eq4(const Eq4Inputs& inputs, double s_d);
+
+/// Appends every Eq4Inputs field to a canonical key, in declaration
+/// order (design_model expanded to its four eq.-6 parameters): the one
+/// field list behind the eq.-4 cache keys and the risk campaign
+/// fingerprint (cache/hash.hpp).
+void append_key(cache::KeyBuilder& key, const Eq4Inputs& inputs);
 
 }  // namespace nanocost::core

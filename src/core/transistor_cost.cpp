@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "nanocost/cache/hash.hpp"
 #include "nanocost/units/quantity.hpp"
 
 namespace nanocost::core {
@@ -34,6 +35,19 @@ units::Money require_finite_cost(double cost, const char* equation) {
   return units::Money{cost};
 }
 
+/// A product of positive inputs that overflows to inf would turn the
+/// quotient it divides into an exact, finite 0 -- a free transistor or
+/// a free wafer area, which is no defined cost.  Named separately from
+/// the result check, which cannot see it.
+double require_finite_denominator(double denominator, const char* equation,
+                                  const char* what) {
+  if (!std::isfinite(denominator)) {
+    throw std::overflow_error(std::string(equation) + " denominator " + what +
+                              " overflows: the product is not finite");
+  }
+  return denominator;
+}
+
 }  // namespace
 
 units::Money cost_per_transistor_eq1(units::Money wafer_cost, double transistors_per_chip,
@@ -42,8 +56,9 @@ units::Money cost_per_transistor_eq1(units::Money wafer_cost, double transistors
   units::require_positive(transistors_per_chip, "transistors per chip");
   units::require_positive(chips_per_wafer, "chips per wafer");
   require_yield_positive(yield, "yield");
-  return require_finite_cost(
-      wafer_cost.value() / (transistors_per_chip * chips_per_wafer * yield.value()), "eq. (1)");
+  const double good_transistors = require_finite_denominator(
+      transistors_per_chip * chips_per_wafer * yield.value(), "eq. (1)", "N_tr * N_ch * Y");
+  return require_finite_cost(wafer_cost.value() / good_transistors, "eq. (1)");
 }
 
 units::Money cost_per_transistor_eq3(units::CostPerArea manufacturing_cost,
@@ -64,7 +79,9 @@ units::CostPerArea design_cost_per_area_eq5(units::Money mask_cost, units::Money
   units::require_non_negative(design_cost, "design cost");
   units::require_positive(n_wafers, "wafer count");
   units::require_positive(wafer_area, "wafer area");
-  return (mask_cost + design_cost) / (wafer_area * n_wafers);
+  const units::SquareCentimeters total_area{require_finite_denominator(
+      wafer_area.value() * n_wafers, "eq. (5)", "N_w * A_w")};
+  return (mask_cost + design_cost) / total_area;
 }
 
 double sd_for_die_cost(units::Money die_cost_budget, units::Probability yield,
@@ -103,6 +120,21 @@ Eq4Breakdown cost_per_transistor_eq4(const Eq4Inputs& inputs, double s_d) {
   out.total = out.manufacturing + out.design;
   out.per_die = out.total * inputs.transistors_per_chip;
   return out;
+}
+
+void append_key(cache::KeyBuilder& key, const Eq4Inputs& in) {
+  key.f64("lambda_um", in.lambda.value())
+      .f64("yield", in.yield.value())
+      .f64("cm_sq", in.manufacturing_cost.value())
+      .f64("n_tr", in.transistors_per_chip)
+      .f64("n_w", in.n_wafers)
+      .f64("a_w_cm2", in.wafer_area.value())
+      .f64("c_ma", in.mask_cost.value())
+      .f64("design.a0", in.design_model.params().a0)
+      .f64("design.p1", in.design_model.params().p1)
+      .f64("design.p2", in.design_model.params().p2)
+      .f64("design.s_d0", in.design_model.params().s_d0)
+      .f64("utilization", in.utilization.value());
 }
 
 }  // namespace nanocost::core

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "nanocost/bytes/codec.hpp"
-#include "nanocost/exec/seed.hpp"
+#include "nanocost/cache/hash.hpp"
 
 namespace nanocost::fabsim {
 
@@ -22,10 +22,14 @@ FabLotCampaign::FabLotCampaign(const FabSimulator& sim, std::int64_t n_wafers,
 }
 
 std::uint64_t FabLotCampaign::config_fingerprint() const {
-  // The seed plus the simulator geometry reshape every wafer result; the
-  // die grid size is a cheap proxy for the full simulator configuration.
-  return exec::splitmix64(seed_ ^
-                          static_cast<std::uint64_t>(sim_->wafer_map().die_count()));
+  // The simulator's whole configuration plus the seed shape every wafer
+  // result (the wafer count is the unit count, which the engine mixes
+  // in itself) -- the closure cache::fabsim_run_key hashes.
+  cache::KeyBuilder key("fabsim.lot_campaign");
+  append_key(key, *sim_);
+  key.u64("seed", seed_);
+  const cache::Digest128 d = key.digest();
+  return d.hi ^ d.lo;
 }
 
 void FabLotCampaign::run_chunk(std::int64_t begin, std::int64_t end,

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "nanocost/robust/checkpoint.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
+#include "nanocost/serve/jobs.hpp"
 
 namespace nanocost {
 namespace {
@@ -414,6 +418,149 @@ TEST(Campaign, ValidatesOptions) {
   EXPECT_THROW((void)robust::run_campaign(task, bad), std::invalid_argument);
   EXPECT_THROW(fabsim::FabLotCampaign(sim, 0, 1), std::invalid_argument);
   EXPECT_THROW(core::RiskCampaign(risk_reference(), 300.0, 5, 1), std::invalid_argument);
+}
+
+/// A fresh artifact directory, removed on scope exit.
+struct ArtifactDir final {
+  explicit ArtifactDir(const char* tag)
+      : path(::testing::TempDir() + "nanocost_campaign_artifacts_" + tag) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ArtifactDir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
+
+TEST(FabCampaign, ArtifactTierNeverReplaysAnotherConfiguration) {
+  // Same seed, wafer count and die grid; only the defect density
+  // differs -- so the chunks differ, and so must their addresses.
+  serve::CampaignJob job;
+  job.defect_density_per_cm2 = 0.3;
+  const fabsim::FabSimulator sparse = serve::make_simulator(job);
+  job.defect_density_per_cm2 = 0.9;
+  const fabsim::FabSimulator dense = serve::make_simulator(job);
+  ASSERT_EQ(sparse.wafer_map().die_count(), dense.wafer_map().die_count());
+
+  const ArtifactDir dir("cross_config");
+  exec::ThreadPool serial(1);
+  robust::CampaignOptions options;
+  options.pool = &serial;
+  options.artifact_dir = dir.path;
+  const fabsim::FabLotCampaign first(sparse, job.n_wafers, job.seed);
+  const robust::CampaignResult stored = robust::run_campaign(first, options);
+  EXPECT_EQ(stored.artifact_stores, stored.total_chunks);
+
+  const fabsim::FabLotCampaign second(dense, job.n_wafers, job.seed);
+  const robust::CampaignResult result = robust::run_campaign(second, options);
+  EXPECT_EQ(result.artifact_hits, 0);
+  expect_same_lot(second.assemble(result).lot, dense.run(job.n_wafers, job.seed, &serial));
+  // The tier itself still works for the configuration that wrote it.
+  EXPECT_EQ(robust::run_campaign(second, options).artifact_hits, result.total_chunks);
+}
+
+TEST(FabCampaign, FingerprintCoversTheWholeConfiguration) {
+  // Every input cache::fabsim_run_key hashes, plus the seed.
+  using Edit = std::function<void(serve::CampaignJob&)>;
+  const std::vector<Edit> edits = {
+      [](serve::CampaignJob& j) { j.wafer_diameter_mm = 210.0; },
+      [](serve::CampaignJob& j) { j.wafer_edge_exclusion_mm = 4.0; },
+      [](serve::CampaignJob& j) { j.wafer_scribe_mm = 0.11; },
+      [](serve::CampaignJob& j) { j.die_width_mm = 13.01; },
+      [](serve::CampaignJob& j) { j.die_height_mm = 13.01; },
+      [](serve::CampaignJob& j) { j.size_xmin_um = 0.126; },
+      [](serve::CampaignJob& j) { j.size_peak_um = 0.26; },
+      [](serve::CampaignJob& j) { j.size_xmax_um = 26.0; },
+      [](serve::CampaignJob& j) { j.size_q = 3.1; },
+      [](serve::CampaignJob& j) { j.defect_density_per_cm2 = 0.61; },
+      [](serve::CampaignJob& j) { j.cluster_alpha = 2.1; },
+      [](serve::CampaignJob& j) { j.clustered = false; },
+      [](serve::CampaignJob& j) { j.radial_edge_boost = 0.5; },
+      [](serve::CampaignJob& j) { j.radial_sharpness = 3.0; },
+      [](serve::CampaignJob& j) { j.wire_width_um = 0.26; },
+      [](serve::CampaignJob& j) { j.wire_spacing_um = 0.26; },
+      [](serve::CampaignJob& j) { j.wire_length_um = 101.0; },
+      [](serve::CampaignJob& j) { j.wire_count = 51; },
+      [](serve::CampaignJob& j) { j.seed = 43; },
+  };
+  const auto fingerprint = [](const serve::CampaignJob& j) {
+    const fabsim::FabSimulator sim = serve::make_simulator(j);
+    return fabsim::FabLotCampaign(sim, j.n_wafers, j.seed).config_fingerprint();
+  };
+  const serve::CampaignJob base;
+  std::set<std::uint64_t> seen{fingerprint(base)};
+  EXPECT_EQ(fingerprint(base), fingerprint(base));
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    serve::CampaignJob j = base;
+    edits[i](j);
+    EXPECT_TRUE(seen.insert(fingerprint(j)).second) << "edit " << i << " kept the fingerprint";
+  }
+}
+
+TEST(RiskCampaign, FingerprintCoversTheWholeConfiguration) {
+  struct Config {
+    core::UncertainInputs u = risk_reference();
+    double s_d = 300.0;
+    std::uint64_t seed = 1;
+    double budget = 0.0;
+  };
+  using Edit = std::function<void(Config&)>;
+  const auto design = [](Config& c, auto&& edit) {
+    cost::DesignCostParams p = c.u.nominal.design_model.params();
+    edit(p);
+    c.u.nominal.design_model = cost::DesignCostModel(p);
+  };
+  const std::vector<Edit> edits = {
+      [](Config& c) { c.u.nominal.lambda = units::Micrometers{0.18}; },
+      [](Config& c) { c.u.nominal.yield = units::Probability{0.71}; },
+      [](Config& c) { c.u.nominal.manufacturing_cost = units::CostPerArea{8.5}; },
+      [](Config& c) { c.u.nominal.transistors_per_chip = 2e7; },
+      [](Config& c) { c.u.nominal.n_wafers = 10001.0; },
+      [](Config& c) { c.u.nominal.wafer_area = units::SquareCentimeters{706.9}; },
+      [](Config& c) { c.u.nominal.mask_cost = units::Money{700000.0}; },
+      [&](Config& c) { design(c, [](cost::DesignCostParams& p) { p.a0 = 1100.0; }); },
+      [&](Config& c) { design(c, [](cost::DesignCostParams& p) { p.p1 = 1.1; }); },
+      [&](Config& c) { design(c, [](cost::DesignCostParams& p) { p.p2 = 1.3; }); },
+      [&](Config& c) { design(c, [](cost::DesignCostParams& p) { p.s_d0 = 90.0; }); },
+      [](Config& c) { c.u.nominal.utilization = units::Probability{0.9}; },
+      [](Config& c) { c.u.yield_sigma = 0.09; },
+      [](Config& c) { c.u.cm_sq_sigma_rel = 0.16; },
+      [](Config& c) { c.u.design_cost_sigma_rel = 0.41; },
+      [](Config& c) { c.u.volume_sigma_rel = 0.51; },
+      [](Config& c) { c.s_d = 301.0; },
+      [](Config& c) { c.seed = 2; },
+      [](Config& c) { c.budget = 5e7; },
+  };
+  const auto fingerprint = [](const Config& c) {
+    return core::RiskCampaign(c.u, c.s_d, 1000, c.seed, c.budget).config_fingerprint();
+  };
+  const Config base;
+  std::set<std::uint64_t> seen{fingerprint(base)};
+  EXPECT_EQ(fingerprint(base), fingerprint(Config{}));
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    Config c = base;
+    edits[i](c);
+    EXPECT_TRUE(seen.insert(fingerprint(c)).second) << "edit " << i << " kept the fingerprint";
+  }
+}
+
+TEST(RiskCampaign, ArtifactTierNeverReplaysAnotherConfiguration) {
+  const core::UncertainInputs u = risk_reference();
+  core::UncertainInputs riskier = u;
+  riskier.yield_sigma = 0.2;  // a field the old fingerprint ignored
+  const ArtifactDir dir("risk_cross_config");
+  exec::ThreadPool serial(1);
+  robust::CampaignOptions options;
+  options.pool = &serial;
+  options.artifact_dir = dir.path;
+  (void)robust::run_campaign(core::RiskCampaign(u, 300.0, 512, 9), options);
+
+  const core::RiskCampaign second(riskier, 300.0, 512, 9);
+  const robust::CampaignResult result = robust::run_campaign(second, options);
+  EXPECT_EQ(result.artifact_hits, 0);
+  const core::RiskResult direct = core::monte_carlo_cost(riskier, 300.0, 512, 9, 0.0, &serial);
+  const core::PartialRisk served = second.assemble(result);
+  EXPECT_EQ(served.result.mean, direct.mean);
+  EXPECT_EQ(served.result.p90, direct.p90);
 }
 
 }  // namespace

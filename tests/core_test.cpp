@@ -164,6 +164,36 @@ TEST(Robustness, Eq1To5EntryPointsRejectNonFiniteInputs) {
   EXPECT_THROW((void)cost_per_transistor_eq4(inputs, 300.0), std::domain_error);
 }
 
+TEST(Robustness, Eq1AndEq5NameADenominatorOverflow) {
+  // N_tr * N_ch * Y and N_w * A_w overflow to inf for finite, positive
+  // inputs; dividing by that would return an exact, finite 0.
+  expect_overflow_naming(
+      [] { return cost_per_transistor_eq1(Money{2000.0}, 1e300, 1e300, Probability{0.5}); },
+      "eq. (1)");
+  expect_overflow_naming(
+      [] { return cost_per_transistor_eq1(Money{2000.0}, 1e200, 1e200, Probability{1.0}); },
+      "N_tr * N_ch * Y");
+  expect_overflow_naming(
+      [] {
+        return design_cost_per_area_eq5(Money{1e6}, Money{9e6}, 1e300,
+                                        SquareCentimeters{1e10});
+      },
+      "eq. (5)");
+  expect_overflow_naming(
+      [] {
+        return design_cost_per_area_eq5(Money{0.0}, Money{1.0}, 1e308,
+                                        SquareCentimeters{10.0});
+      },
+      "N_w * A_w");
+  // Just below the overflow the products are finite and the results
+  // are tiny but positive.
+  EXPECT_GT(cost_per_transistor_eq1(Money{2000.0}, 1e150, 1e150, Probability{0.5}).value(),
+            0.0);
+  EXPECT_GT(design_cost_per_area_eq5(Money{1e6}, Money{9e6}, 1e150, SquareCentimeters{1e10})
+                .value(),
+            0.0);
+}
+
 TEST(Eq5, AmortizesNreOverFabricatedSilicon) {
   const CostPerArea cd = design_cost_per_area_eq5(Money{1e6}, Money{9e6}, 1000.0,
                                                   SquareCentimeters{100.0});
