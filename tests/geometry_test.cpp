@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "nanocost/geometry/die.hpp"
 #include "nanocost/geometry/reticle.hpp"
@@ -148,6 +152,100 @@ TEST(WaferMap, SiteAtRejectsPointsOffDie) {
   const WaferMap map(wafer, die);
   // Far outside the wafer.
   EXPECT_EQ(map.site_at(Millimeters{500.0}, Millimeters{500.0}), -1);
+}
+
+/// Points site_at treats specially on `map`: for every site, its step
+/// cell's edges, its die body's edges and the street margin between,
+/// each with the doubles on either side, on both axes.
+std::vector<double> site_probe_coords(const WaferMap& map, bool x_axis) {
+  const double street = map.wafer().scribe_street().value();
+  const double half =
+      (x_axis ? map.die().width().value() : map.die().height().value()) / 2.0;
+  std::vector<double> out;
+  for (const DieSite& site : map.sites()) {
+    const double c = x_axis ? site.center_x.value() : site.center_y.value();
+    for (const double edge : {c - half - street / 2.0, c - half - street / 4.0, c - half,
+                              c, c + half, c + half + street / 4.0, c + half + street / 2.0}) {
+      out.push_back(std::nextafter(edge, -HUGE_VAL));
+      out.push_back(edge);
+      out.push_back(std::nextafter(edge, HUGE_VAL));
+    }
+  }
+  return out;
+}
+
+/// The site whose die body holds (x, y), by scanning every site: what
+/// the grid lookup must return whenever the street is wider than zero.
+std::int64_t site_by_scan(const WaferMap& map, double x, double y) {
+  const double half_w = map.die().width().value() / 2.0;
+  const double half_h = map.die().height().value() / 2.0;
+  for (std::size_t k = 0; k < map.sites().size(); ++k) {
+    const DieSite& s = map.sites()[k];
+    if (std::fabs(x - s.center_x.value()) <= half_w &&
+        std::fabs(y - s.center_y.value()) <= half_h) {
+      return static_cast<std::int64_t>(k);
+    }
+  }
+  return -1;
+}
+
+TEST(WaferMap, SiteAtFindsTheDieBodyOnEdgesAndRejectsFarPoints) {
+  // The lookup tests the grid bounds in the double domain before it
+  // converts, so far, infinite and NaN coordinates return -1 instead of
+  // reaching an out-of-range integer conversion.
+  const WaferMap maps[] = {
+      WaferMap(WaferSpec::mm200(), DieSize{Millimeters{12.0}, Millimeters{12.0}}),
+      WaferMap(WaferSpec::mm200(), DieSize{Millimeters{7.0}, Millimeters{19.0}},
+               GridAnchor::kStreetCentered),
+      WaferMap(WaferSpec(Millimeters{100.0}, Millimeters{3.0}, Millimeters{2.0}),
+               DieSize{Millimeters{60.0}, Millimeters{60.0}}),
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const double far[] = {-kMax, -1e300, -1e19, -9.3e18, -1e9, 1e9, 9.3e18, 1e19, 1e300,
+                        kMax, -kInf, kInf, std::numeric_limits<double>::quiet_NaN()};
+  for (const WaferMap& map : maps) {
+    ASSERT_GT(map.die_count(), 0);
+    // Random points on and off the wafer, then every special x against
+    // a site's center y (and the transpose), then far coordinates.
+    const double r = map.wafer().diameter().value() * 0.6;
+    std::vector<double> xs, ys;
+    std::mt19937_64 rng(4242);
+    std::uniform_real_distribution<double> coord(-r, r);
+    for (int i = 0; i < 2000; ++i) {
+      xs.push_back(coord(rng));
+      ys.push_back(coord(rng));
+    }
+    for (const double x : site_probe_coords(map, true)) {
+      xs.push_back(x);
+      ys.push_back(map.sites()[xs.size() % map.sites().size()].center_y.value());
+    }
+    for (const double y : site_probe_coords(map, false)) {
+      xs.push_back(map.sites()[ys.size() % map.sites().size()].center_x.value());
+      ys.push_back(y);
+    }
+    const std::size_t near = xs.size();
+    for (const double a : far) {
+      for (const double b : {a, 0.0, map.sites().front().center_y.value()}) {
+        xs.push_back(a);
+        ys.push_back(b);
+        xs.push_back(b);
+        ys.push_back(a);
+      }
+    }
+    std::vector<std::int64_t> got(xs.size());
+    map.site_at_batch(xs.data(), ys.data(), got.data(), xs.size());
+    std::int64_t hits = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(got[i], map.site_at(Millimeters{xs[i]}, Millimeters{ys[i]}))
+          << "batch != site_at at (" << xs[i] << ", " << ys[i] << ")";
+      const std::int64_t want = i < near ? site_by_scan(map, xs[i], ys[i]) : -1;
+      ASSERT_EQ(got[i], want) << "at (" << xs[i] << ", " << ys[i] << ")";
+      hits += got[i] >= 0 ? 1 : 0;
+    }
+    EXPECT_GT(hits, 0);
+    EXPECT_LT(hits, static_cast<std::int64_t>(xs.size()));
+  }
 }
 
 TEST(WaferMap, UtilizationIsReasonable) {

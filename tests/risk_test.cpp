@@ -131,6 +131,34 @@ TEST(Risk, RobustSweepNamesTheNonFiniteBound) {
                         "sweep bound lo must be finite");
 }
 
+TEST(Risk, AnEq5AreaOverflowIsNamedByEveryRiskForm) {
+  // Finite, positive inputs whose N_w * A_w overflows: the batched
+  // kernel behind every form must raise eq. (5)'s named overflow, as the
+  // scalar kernel and eq. (4) do, not return a manufacturing-only cost.
+  UncertainInputs u = reference();
+  u.nominal.n_wafers = 1e300;
+  u.nominal.wafer_area = units::SquareCentimeters{1e10};
+  const auto expect_eq5 = [](auto&& f, const char* form) {
+    try {
+      f();
+      ADD_FAILURE() << form << ": no exception";
+    } catch (const std::overflow_error& e) {
+      EXPECT_NE(std::string(e.what()).find("eq. (5)"), std::string::npos)
+          << form << ": " << e.what();
+    }
+  };
+  expect_eq5([&] { (void)risk_sample_cost(u, 300.0, 1, 0); }, "risk_sample_cost");
+  expect_eq5([&] { (void)monte_carlo_cost(u, 300.0, 1000, 1); }, "monte_carlo_cost");
+  expect_eq5([&] { (void)robust_sd(u, 0.9, 110.0, 1500.0, 4, 200, 1); }, "robust_sd");
+  expect_eq5(
+      [&] {
+        const RiskCampaign task(u, 300.0, 1000, 1);
+        std::vector<std::uint8_t> blob;
+        task.run_chunk(0, task.grain(), blob);
+      },
+      "RiskCampaign::run_chunk");
+}
+
 // ---------------------------------------------------------------------------
 // The selection-based summaries against the sort-based reduction they
 // replaced, and the served/campaign risk forms against the direct one.
