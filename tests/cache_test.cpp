@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "corruption_matrix.hpp"
+#include "golden_vectors.hpp"
 #include "nanocost/bytes/codec.hpp"
 #include "nanocost/cache/cached.hpp"
 #include "nanocost/cache/codec.hpp"
@@ -236,6 +237,54 @@ TEST(CacheCodec, SweepPointsRoundTrip) {
   const std::vector<std::uint8_t> a = cache::encode(points);
   const std::vector<std::uint8_t> b = cache::encode(back);
   EXPECT_EQ(a, b);
+}
+
+/// Encodes `value`, compares with `hex`, and checks the golden decodes
+/// and re-encodes to itself.
+template <class T, class Decode>
+void expect_result_golden(const T& value, std::string_view hex, Decode decode) {
+  EXPECT_EQ(nanocost::testing::to_hex(cache::encode(value)), hex);
+  const std::vector<std::uint8_t> golden = nanocost::testing::from_hex(hex);
+  EXPECT_EQ(cache::encode(decode(golden)), golden);
+}
+
+TEST(CacheCodec, ResultGoldensPinTheFormat) {
+  // Every field a distinct value, so a swapped pair changes the bytes.
+  core::SweepPoint a{};
+  a.s_d = 250.0;
+  a.breakdown.manufacturing = units::Money{1.5e-6};
+  a.breakdown.design = units::Money{2.5e-6};
+  a.breakdown.total = units::Money{4.0e-6};
+  a.breakdown.cd_sq = units::CostPerArea{3.25};
+  a.breakdown.design_nre = units::Money{7.0e6};
+  a.breakdown.per_die = units::Money{40.0};
+  core::SweepPoint b = a;
+  b.s_d = 500.0;
+  b.breakdown.per_die = units::Money{41.0};
+  expect_result_golden(std::vector<core::SweepPoint>{a, b}, nanocost::testing::kSweepPointsBlobHex,
+                       cache::decode_sweep_points);
+
+  expect_result_golden(core::RiskResult{1.25, 0.5, 0.75, 1.2, 2.25, 0.125},
+                       nanocost::testing::kRiskResultBlobHex, cache::decode_risk_result);
+  expect_result_golden(core::RobustOptimum{321.5, 1e-7}, nanocost::testing::kRobustOptimumBlobHex,
+                       cache::decode_robust_optimum);
+  expect_result_golden(
+      std::vector<regularity::WindowSweepPoint>{{4, 100, 12, 0.88}, {8, 25, 9, 0.64}},
+      nanocost::testing::kWindowSweepBlobHex, cache::decode_window_sweep_points);
+
+  fabsim::LotResult lot;
+  lot.wafers = {{100, 90, 12, 10}, {101, 85, 20, 15}};
+  lot.total_dies = 201;
+  lot.good_dies = 175;
+  lot.fault_histogram = {170, 25, 6};
+  expect_result_golden(lot, nanocost::testing::kLotResultBlobHex, cache::decode_lot_result);
+
+  place::Placement placement(3, 4, 5);
+  for (std::int32_t g = 0; g < 5; ++g) placement.assign(g, (g * 5) % 12);
+  const place::MultistartResult multistart{
+      place::PlaceResult{std::move(placement), 12.0, 9.5, 100, 40}, 1, 3, {11.0, 9.75, 10.25}};
+  expect_result_golden(multistart, nanocost::testing::kMultistartResultBlobHex,
+                       cache::decode_multistart_result);
 }
 
 TEST(CacheCodec, TruncatedAndTrailingBlobsThrow) {

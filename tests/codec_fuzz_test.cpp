@@ -230,6 +230,8 @@ TEST(CodecFuzz, JobPayloadsAndServedResultsRoundTripOrThrow) {
        result_round_trip(cache::decode_sweep_points), {}, {}},
       {"risk result", cache::encode(core::RiskResult{1.0, 0.5, 0.2, 0.9, 1.8, 0.25}),
        result_round_trip(cache::decode_risk_result), {}, {}},
+      {"robust optimum", cache::encode(core::RobustOptimum{321.5, 1e-7}),
+       result_round_trip(cache::decode_robust_optimum), {}, {}},
       {"lot result", cache::encode(lot), result_round_trip(cache::decode_lot_result), {}, {}},
       {"placement", cache::encode(multistart),
        result_round_trip(cache::decode_multistart_result), {}, {}},
