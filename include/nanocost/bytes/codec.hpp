@@ -25,11 +25,20 @@
 // so every format keeps its own taxonomy -- with a message that starts
 // with the reader's context (the format and, for files, the path) and
 // names the offense.
+//
+// A record's layout is written once, as `template <class IO, RecordOf<T>
+// R> void fields(IO&, R&)` calling io.f64(name, v), io.i32, i64, u64,
+// boolean, wide_u32, str, bytes, u8 (an enum, range-checked on read) and
+// seq (a counted vector) in wire order.  ByteWriter encodes the list,
+// ByteReader decodes it strictly and names the field in its diagnostics,
+// and cache::KeyBuilder hashes it into a canonical key.  The positional
+// calls (w.u64(v), r.u64()) remain for envelopes and headers.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -37,6 +46,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace nanocost::bytes {
@@ -61,6 +71,22 @@ inline std::span<const std::uint8_t, 8> magic_bytes(const char (&m)[8]) noexcept
 }
 
 }  // namespace detail
+
+/// `R` is the record `T`, const (writers and keys) or not (the reader):
+/// the constraint that gives each record its own fields() overload.
+template <class R, class T>
+concept RecordOf = std::same_as<std::remove_const_t<R>, T>;
+
+/// The double an f64 field carries: the value itself, or a unit
+/// wrapper's value().
+template <class T>
+[[nodiscard]] constexpr double f64_of(const T& v) noexcept {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return static_cast<double>(v);
+  } else {
+    return v.value();
+  }
+}
 
 /// FNV-1a over `data`, continuing from `seed`.  The default seed (the
 /// offset basis) starts a fresh hash, and hashing is incremental:
@@ -127,6 +153,22 @@ class ByteWriter final {
   /// Closes an envelope: appends fnv1a over everything written from
   /// offset `from` on (the body after the magic).
   void seal(std::size_t from) { u64(fnv1a(view().subspan(from))); }
+
+  // Field calls (see the header comment); the name is not written.
+  template <class T> void f64(const char*, const T& v) { f64(f64_of(v)); }
+  void i32(const char*, std::int32_t v) { i32(v); }
+  void i64(const char*, std::int64_t v) { i64(v); }
+  void u64(const char*, std::uint64_t v) { u64(v); }
+  void wide_u32(const char*, std::uint32_t v) { u64(v); }
+  void boolean(const char*, bool v) { boolean(v); }
+  void str(const char*, std::string_view v) { str(v); }
+  void bytes(const char*, std::span<const std::uint8_t> v) { bytes(v); }
+  template <class E> void u8(const char*, E v, E) { u8(static_cast<std::uint8_t>(v)); }
+  template <class V, class Each>
+  void seq(const char*, const V& v, std::size_t /*min_elem_bytes*/, Each&& each) {
+    u64(v.size());
+    for (const auto& e : v) each(e);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
   /// The bytes written so far.
@@ -234,6 +276,31 @@ class ByteReader final {
            std::to_string(remaining()) + " remaining bytes can hold");
     }
     return static_cast<std::size_t>(n);
+  }
+
+  // Field calls (see the header comment): each reads into `v` and
+  // names the field in its diagnostic.
+  template <class T> void f64(const char* what, T& v) { v = T{f64(what)}; }
+  void i32(const char* what, std::int32_t& v) { v = i32(what); }
+  void i64(const char* what, std::int64_t& v) { v = i64(what); }
+  void u64(const char* what, std::uint64_t& v) { v = u64(what); }
+  void wide_u32(const char* what, std::uint32_t& v) { v = wide_u32(what); }
+  void boolean(const char* what, bool& v) { v = boolean(what); }
+  void str(const char* what, std::string& v) { v = str(what); }
+  void bytes(const char* what, std::vector<std::uint8_t>& v) { v = bytes(what); }
+  /// An enum byte: rejects codes above `max`.
+  template <class E>
+  void u8(const char* what, E& v, E max) {
+    const std::uint8_t code = u8(what);
+    if (code > static_cast<std::uint8_t>(max)) {
+      fail(std::string(what) + " declares unknown code " + std::to_string(code));
+    }
+    v = static_cast<E>(code);
+  }
+  template <class V, class Each>
+  void seq(const char* what, V& v, std::size_t min_elem_bytes, Each&& each) {
+    v.resize(count(u64(what), min_elem_bytes, what));
+    for (auto& e : v) each(e);
   }
 
   /// Checks an 8-byte magic; throws `E` (default: the reader's error).

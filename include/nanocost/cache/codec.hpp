@@ -9,13 +9,16 @@
 // recompute" can be checked by memcmp on encoded bytes
 // (tests/cache_test.cpp does exactly that).
 //
-// Layout per type: fields in struct declaration order, written with
-// the one byte codec (bytes/codec.hpp): f64 by bit pattern, integers
-// little-endian fixed-width, vectors as u64 length followed by
-// elements.  Decoding is strict: a truncated, padded or out-of-range
-// blob throws std::runtime_error.  The encoding is versioned implicitly through
-// cache/key.hpp's kKeySchemaVersion -- keys and blobs invalidate
-// together.
+// Layout per type: one field list (bytes/codec.hpp) in struct
+// declaration order -- f64 by bit pattern, integers little-endian
+// fixed-width, vectors as a u64 count followed by the elements -- that
+// both encode and decode instantiate; LotResult's wafers use
+// fabsim::fields(WaferResult), the chunk blobs' list.  Only the
+// MultistartResult decoder is hand-written around its list, to cap the
+// placement grid before it allocates.  Decoding is strict: a truncated,
+// padded or out-of-range blob throws std::runtime_error naming the
+// field.  The encoding is versioned implicitly through cache/key.hpp's
+// kKeySchemaVersion -- keys and blobs invalidate together.
 #pragma once
 
 #include <cstdint>

@@ -46,8 +46,8 @@ namespace nanocost::cache {
 // KeyBuilder live in cache/hash.hpp next to the pinned hash
 // construction, so the modules below this one in the link order can
 // use them too: the on-disk artifact tier folds the version into blob
-// addresses, and core/fabsim append their input closures to keys
-// (core::append_key, fabsim::append_key) for campaign fingerprints.
+// addresses, and core/fabsim hash their input closures into keys
+// (core::fields, fabsim::append_key) for campaign fingerprints.
 
 // ---- Entry-point keys ---------------------------------------------------
 // One function per deterministic entry point; each hashes the complete

@@ -31,8 +31,15 @@ struct UncertainInputs final {
   double volume_sigma_rel = 0.5;      ///< lognormal sigma on N_w (demand risk)
 };
 
-/// Appends the nominal inputs and all four sigmas to a canonical key.
-void append_key(cache::KeyBuilder& key, const UncertainInputs& inputs);
+/// The nominal inputs' field list, then the four sigmas.
+template <class IO, bytes::RecordOf<UncertainInputs> R>
+void fields(IO& io, R& in) {
+  fields(io, in.nominal);
+  io.f64("yield_sigma", in.yield_sigma);
+  io.f64("cm_sq_sigma_rel", in.cm_sq_sigma_rel);
+  io.f64("design_cost_sigma_rel", in.design_cost_sigma_rel);
+  io.f64("volume_sigma_rel", in.volume_sigma_rel);
+}
 
 /// Distribution summary of C_tr at one s_d.
 struct RiskResult final {

@@ -4,15 +4,14 @@
 // transistors that end up in fully functional dice.
 #pragma once
 
+#include <type_traits>
+
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/cost/design_cost.hpp"
 #include "nanocost/units/area.hpp"
 #include "nanocost/units/length.hpp"
 #include "nanocost/units/money.hpp"
 #include "nanocost/units/probability.hpp"
-
-namespace nanocost::cache {
-class KeyBuilder;
-}
 
 namespace nanocost::core {
 
@@ -76,10 +75,27 @@ struct Eq4Breakdown final {
 /// from eq. (5) and C_DE from eq. (6).
 [[nodiscard]] Eq4Breakdown cost_per_transistor_eq4(const Eq4Inputs& inputs, double s_d);
 
-/// Appends every Eq4Inputs field to a canonical key, in declaration
-/// order (design_model expanded to its four eq.-6 parameters): the one
-/// field list behind the eq.-4 cache keys and the risk campaign
-/// fingerprint (cache/hash.hpp).
-void append_key(cache::KeyBuilder& key, const Eq4Inputs& inputs);
+/// The one field list of Eq4Inputs, in declaration order (design_model
+/// expanded to its four eq.-6 parameters, rebuilt when read).  The
+/// served wire format and its strict decoder (bytes/codec.hpp), the
+/// eq.-4 cache keys and the risk campaign fingerprint (cache/hash.hpp)
+/// all read it.
+template <class IO, bytes::RecordOf<Eq4Inputs> R>
+void fields(IO& io, R& in) {
+  io.f64("lambda_um", in.lambda);
+  io.f64("yield", in.yield);
+  io.f64("cm_sq", in.manufacturing_cost);
+  io.f64("n_tr", in.transistors_per_chip);
+  io.f64("n_w", in.n_wafers);
+  io.f64("a_w_cm2", in.wafer_area);
+  io.f64("c_ma", in.mask_cost);
+  cost::DesignCostParams p = in.design_model.params();
+  io.f64("design.a0", p.a0);
+  io.f64("design.p1", p.p1);
+  io.f64("design.p2", p.p2);
+  io.f64("design.s_d0", p.s_d0);
+  if constexpr (!std::is_const_v<R>) in.design_model = cost::DesignCostModel{p};
+  io.f64("utilization", in.utilization);
+}
 
 }  // namespace nanocost::core

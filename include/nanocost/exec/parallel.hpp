@@ -27,14 +27,21 @@ inline constexpr robust::FaultSite kChunkFaultSite{"exec.chunk"};
 
 namespace detail {
 
-/// Observation evaluated once per chunk (span + counter).  Off: two
-/// relaxed loads per chunk, no other work.
-inline void observe_chunk_begin(obs::ObsSpan& span, std::int64_t chunk) {
-  span.arg("chunk", static_cast<std::uint64_t>(chunk));
+/// Chunk `c` of [0, n) at `grain`: the exec.chunk span and counter, the
+/// exec.chunk fault site, then fn(begin, end) inside the span.  Every
+/// loop runs its chunks through here.  Observation off: two relaxed
+/// loads per chunk, no other work.
+template <typename Fn>
+void run_chunk(std::int64_t n, std::int64_t grain, std::int64_t c, Fn&& fn) {
+  obs::ObsSpan span("exec.chunk");
+  span.arg("chunk", static_cast<std::uint64_t>(c));
   if (obs::metrics_enabled()) {
     static obs::Counter& chunks = obs::counter("exec.chunks");
     chunks.add();
   }
+  robust::inject(kChunkFaultSite, static_cast<std::uint64_t>(c));
+  const std::int64_t begin = c * grain;
+  fn(begin, begin + grain < n ? begin + grain : n);
 }
 
 }  // namespace detail
@@ -53,20 +60,11 @@ void parallel_for(ThreadPool* pool, std::int64_t n, std::int64_t grain, Body&& b
   if (grain < 1) throw std::invalid_argument("parallel_for grain must be >= 1");
   const std::int64_t chunks = chunk_count(n, grain);
   if (chunks == 1) {
-    obs::ObsSpan span("exec.chunk");
-    detail::observe_chunk_begin(span, 0);
-    robust::inject(kChunkFaultSite, 0);
-    body(std::int64_t{0}, n);
+    detail::run_chunk(n, grain, 0, body);
     return;
   }
-  pool_or_global(pool).run_tasks(chunks, [&](std::int64_t c) {
-    obs::ObsSpan span("exec.chunk");
-    detail::observe_chunk_begin(span, c);
-    robust::inject(kChunkFaultSite, static_cast<std::uint64_t>(c));
-    const std::int64_t begin = c * grain;
-    const std::int64_t end = begin + grain < n ? begin + grain : n;
-    body(begin, end);
-  });
+  pool_or_global(pool).run_tasks(chunks,
+                                 [&](std::int64_t c) { detail::run_chunk(n, grain, c, body); });
 }
 
 /// Chunked loop with per-chunk scratch state:
@@ -85,24 +83,20 @@ void parallel_reduce(ThreadPool* pool, std::int64_t n, std::int64_t grain, MakeS
   using Scratch = decltype(make());
   const std::int64_t chunks = chunk_count(n, grain);
   if (chunks == 1) {
-    obs::ObsSpan span("exec.chunk");
-    detail::observe_chunk_begin(span, 0);
-    robust::inject(kChunkFaultSite, 0);
-    Scratch scratch = make();
-    body(std::int64_t{0}, n, scratch);
-    merge(std::move(scratch));
+    detail::run_chunk(n, grain, 0, [&](std::int64_t begin, std::int64_t end) {
+      Scratch scratch = make();
+      body(begin, end, scratch);
+      merge(std::move(scratch));
+    });
     return;
   }
   std::vector<Scratch> scratches;
   scratches.reserve(static_cast<std::size_t>(chunks));
   for (std::int64_t c = 0; c < chunks; ++c) scratches.push_back(make());
   pool_or_global(pool).run_tasks(chunks, [&](std::int64_t c) {
-    obs::ObsSpan span("exec.chunk");
-    detail::observe_chunk_begin(span, c);
-    robust::inject(kChunkFaultSite, static_cast<std::uint64_t>(c));
-    const std::int64_t begin = c * grain;
-    const std::int64_t end = begin + grain < n ? begin + grain : n;
-    body(begin, end, scratches[static_cast<std::size_t>(c)]);
+    detail::run_chunk(n, grain, c, [&](std::int64_t begin, std::int64_t end) {
+      body(begin, end, scratches[static_cast<std::size_t>(c)]);
+    });
   });
   for (Scratch& scratch : scratches) merge(std::move(scratch));
 }
@@ -175,12 +169,7 @@ LoopStatus parallel_for_cancellable(ThreadPool* pool, std::int64_t n, std::int64
       [&](std::int64_t c) {
         if (token.expired()) return;
         robust::CancelScope scope(token);
-        obs::ObsSpan span("exec.chunk");
-        detail::observe_chunk_begin(span, c);
-        robust::inject(kChunkFaultSite, static_cast<std::uint64_t>(c));
-        const std::int64_t begin = c * grain;
-        const std::int64_t end = begin + grain < n ? begin + grain : n;
-        body(begin, end);
+        detail::run_chunk(n, grain, c, body);
         done[static_cast<std::size_t>(c)] = 1;
       },
       [&token] { return token.expired(); });
@@ -214,12 +203,9 @@ LoopStatus parallel_reduce_cancellable(ThreadPool* pool, std::int64_t n, std::in
       [&](std::int64_t c) {
         if (token.expired()) return;
         robust::CancelScope scope(token);
-        obs::ObsSpan span("exec.chunk");
-        detail::observe_chunk_begin(span, c);
-        robust::inject(kChunkFaultSite, static_cast<std::uint64_t>(c));
-        const std::int64_t begin = c * grain;
-        const std::int64_t end = begin + grain < n ? begin + grain : n;
-        body(begin, end, scratches[static_cast<std::size_t>(c)]);
+        detail::run_chunk(n, grain, c, [&](std::int64_t begin, std::int64_t end) {
+          body(begin, end, scratches[static_cast<std::size_t>(c)]);
+        });
         done[static_cast<std::size_t>(c)] = 1;
       },
       [&token] { return token.expired(); });

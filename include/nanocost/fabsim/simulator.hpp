@@ -16,6 +16,7 @@
 #include <random>
 #include <vector>
 
+#include "nanocost/bytes/codec.hpp"
 #include "nanocost/defect/critical_area.hpp"
 #include "nanocost/defect/spatial.hpp"
 #include "nanocost/exec/rng.hpp"
@@ -147,6 +148,16 @@ struct WaferResult final {
                           : 0.0;
   }
 };
+
+/// The one field list of a WaferResult (bytes/codec.hpp): cached lot
+/// results and lot campaign chunk blobs carry wafers in this layout.
+template <class IO, bytes::RecordOf<WaferResult> R>
+void fields(IO& io, R& w) {
+  io.i64("gross_dies", w.gross_dies);
+  io.i64("good_dies", w.good_dies);
+  io.i64("defects", w.defects);
+  io.i64("defects_on_dies", w.defects_on_dies);
+}
 
 /// Aggregate over a lot / run.
 struct LotResult final {

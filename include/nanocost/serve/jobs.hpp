@@ -3,11 +3,17 @@
 // A job is the full input closure of one deterministic entry point,
 // flattened into NCWIRE01 payload bytes through the one byte codec
 // (bytes/codec.hpp): every field explicit, little-endian, floats by
-// IEEE bit pattern.  Decoding is strict -- truncation, corrupt
-// lengths, out-of-range narrow fields (an i32 or u32 carried in 8
-// bytes), booleans other than 0/1, and trailing garbage throw --
-// because a job that half-decodes must never half-execute, and every
-// accepted payload re-encodes to the bytes that were sent.
+// IEEE bit pattern.  Each payload's layout is one field list in
+// serve/jobs.cpp (a request id, then the fields in declaration order;
+// Eq4Job and RiskJob embed core::fields of their inputs, the list the
+// cache key reads), and encode_payload and decode_* are that list
+// instantiated over ByteWriter and ByteReader.  Decoding is strict --
+// truncation, corrupt lengths, out-of-range narrow fields (an i32 or
+// u32 carried in 8 bytes), booleans other than 0/1, and trailing
+// garbage throw, naming the field -- because a job that half-decodes
+// must never half-execute, and every accepted payload re-encodes to
+// the bytes that were sent.  Decoding checks bytes only; the server
+// then prices the job against kMaxRequestBytes (below).
 //
 // Three job types mirror the three cached entry-point families:
 //   Eq4Job      -> core::sweep_eq4        (eq. (4) density sweep)
@@ -174,6 +180,25 @@ struct StatsReport final {
   std::uint64_t uptime_ms = 0;          ///< since the Server was constructed
   std::vector<std::uint8_t> stats;      ///< NCSTAT01 (obs::decode_stats)
 };
+
+// ---- Request price -------------------------------------------------------
+// The codecs are byte-strict only: a well-formed job may still ask for a
+// 16 GB sample vector.  The server prices every decoded job against one
+// cap before it builds a simulator or queues anything.
+
+/// The most bytes one served request may make the server allocate: 64
+/// MiB, the default result-cache size.
+inline constexpr std::uint64_t kMaxRequestBytes = std::uint64_t{64} << 20;
+
+/// Throws std::length_error naming the field and kMaxRequestBytes when
+/// the job's largest allocation would pass the cap: steps x 56 (sweep
+/// points), samples x 8 (sampled costs), n_wafers x 32 (wafer results)
+/// and the estimated wafer sites (wafer area / die-step area) x 32 (a
+/// die site and its grid entry).  Fields the kernels reject (negative,
+/// NaN) are left to them.
+void check_price(const Eq4Job& job);
+void check_price(const RiskJob& job);
+void check_price(const CampaignJob& job);
 
 /// The digest clients print for a response's result bytes: their
 /// FNV-1a as 16 hex digits, or "-" when there are none (an error or

@@ -7,7 +7,9 @@ namespace nanocost::cache {
 namespace {
 
 using ByteReader = bytes::ByteReader<>;
+using Bytes = std::vector<std::uint8_t>;
 using bytes::ByteWriter;
+using bytes::RecordOf;
 
 constexpr std::string_view kContext = "cache blob";
 
@@ -16,168 +18,134 @@ constexpr std::string_view kContext = "cache blob";
 /// places, and a 16 MiB site table at most.
 constexpr std::int64_t kMaxPlacementSites = std::int64_t{1} << 22;
 
-void put_breakdown(ByteWriter& w, const core::Eq4Breakdown& b) {
-  w.f64(b.manufacturing.value());
-  w.f64(b.design.value());
-  w.f64(b.total.value());
-  w.f64(b.cd_sq.value());
-  w.f64(b.design_nre.value());
-  w.f64(b.per_die.value());
+// ---- Field lists (bytes/codec.hpp) -------------------------------------
+// One per cached result, fields in struct declaration order; a vector is
+// a seq of its elements, counted against their encoded size before
+// anything is allocated.
+
+template <class IO, RecordOf<core::RiskResult> R>
+void fields(IO& io, R& r) {
+  io.f64("mean", r.mean);
+  io.f64("stddev", r.stddev);
+  io.f64("p10", r.p10);
+  io.f64("p50", r.p50);
+  io.f64("p90", r.p90);
+  io.f64("prob_over_budget", r.prob_over_budget);
 }
 
-core::Eq4Breakdown get_breakdown(ByteReader& r) {
-  core::Eq4Breakdown b;
-  b.manufacturing = units::Money{r.f64()};
-  b.design = units::Money{r.f64()};
-  b.total = units::Money{r.f64()};
-  b.cd_sq = units::CostPerArea{r.f64()};
-  b.design_nre = units::Money{r.f64()};
-  b.per_die = units::Money{r.f64()};
-  return b;
+template <class IO, RecordOf<core::RobustOptimum> R>
+void fields(IO& io, R& r) {
+  io.f64("s_d", r.s_d);
+  io.f64("quantile_cost", r.quantile_cost);
+}
+
+template <class IO, RecordOf<core::SweepPoint> R>
+void fields(IO& io, R& p) {
+  io.f64("s_d", p.s_d);
+  io.f64("manufacturing", p.breakdown.manufacturing);
+  io.f64("design", p.breakdown.design);
+  io.f64("total", p.breakdown.total);
+  io.f64("cd_sq", p.breakdown.cd_sq);
+  io.f64("design_nre", p.breakdown.design_nre);
+  io.f64("per_die", p.breakdown.per_die);
+}
+
+template <class IO, RecordOf<std::vector<core::SweepPoint>> R>
+void fields(IO& io, R& points) {
+  io.seq("sweep point count", points, 56, [&](auto& p) { fields(io, p); });
+}
+
+template <class IO, RecordOf<regularity::WindowSweepPoint> R>
+void fields(IO& io, R& p) {
+  io.i64("window", p.window);
+  io.i64("total_windows", p.total_windows);
+  io.i64("unique_patterns", p.unique_patterns);
+  io.f64("regularity_index", p.regularity_index);
+}
+
+template <class IO, RecordOf<std::vector<regularity::WindowSweepPoint>> R>
+void fields(IO& io, R& points) {
+  io.seq("window sweep point count", points, 32, [&](auto& p) { fields(io, p); });
+}
+
+template <class IO, RecordOf<fabsim::LotResult> R>
+void fields(IO& io, R& lot) {
+  io.seq("wafer count", lot.wafers, 32, [&](auto& w) { fields(io, w); });
+  io.i64("total_dies", lot.total_dies);
+  io.i64("good_dies", lot.good_dies);
+  io.seq("histogram length", lot.fault_histogram, 8, [&](auto& n) { io.i64("dies", n); });
+}
+
+/// A multistart result after its placement: the list its hand-written
+/// encoder and decoder share (the decoder caps the grid before it
+/// builds the placement).
+template <class IO, RecordOf<place::MultistartResult> R>
+void tail_fields(IO& io, R& r) {
+  io.f64("initial_hpwl", r.best.initial_hpwl);
+  io.f64("final_hpwl", r.best.final_hpwl);
+  io.i64("moves_tried", r.best.moves_tried);
+  io.i64("moves_accepted", r.best.moves_accepted);
+  io.i32("best_start", r.best_start);
+  io.i32("starts", r.starts);
+  io.seq("start hpwl count", r.start_hpwls, 8, [&](auto& h) { io.f64("start hpwl", h); });
+}
+
+template <class R>
+Bytes encode_record(const R& r) {
+  ByteWriter w;
+  fields(w, r);
+  return w.take();
+}
+
+template <class R>
+R decode_record(const Bytes& blob) {
+  ByteReader in(blob, kContext);
+  R r;
+  fields(in, r);
+  in.expect_end();
+  return r;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const core::RiskResult& r) {
-  ByteWriter w;
-  w.f64(r.mean);
-  w.f64(r.stddev);
-  w.f64(r.p10);
-  w.f64(r.p50);
-  w.f64(r.p90);
-  w.f64(r.prob_over_budget);
-  return w.take();
+Bytes encode(const core::RiskResult& r) { return encode_record(r); }
+Bytes encode(const core::RobustOptimum& r) { return encode_record(r); }
+Bytes encode(const std::vector<core::SweepPoint>& r) { return encode_record(r); }
+Bytes encode(const std::vector<regularity::WindowSweepPoint>& r) { return encode_record(r); }
+Bytes encode(const fabsim::LotResult& r) { return encode_record(r); }
+
+core::RiskResult decode_risk_result(const Bytes& blob) {
+  return decode_record<core::RiskResult>(blob);
 }
 
-core::RiskResult decode_risk_result(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob, kContext);
-  core::RiskResult out;
-  out.mean = r.f64();
-  out.stddev = r.f64();
-  out.p10 = r.f64();
-  out.p50 = r.f64();
-  out.p90 = r.f64();
-  out.prob_over_budget = r.f64();
-  r.expect_end();
-  return out;
+core::RobustOptimum decode_robust_optimum(const Bytes& blob) {
+  return decode_record<core::RobustOptimum>(blob);
 }
 
-std::vector<std::uint8_t> encode(const core::RobustOptimum& r) {
-  ByteWriter w;
-  w.f64(r.s_d);
-  w.f64(r.quantile_cost);
-  return w.take();
+std::vector<core::SweepPoint> decode_sweep_points(const Bytes& blob) {
+  return decode_record<std::vector<core::SweepPoint>>(blob);
 }
 
-core::RobustOptimum decode_robust_optimum(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob, kContext);
-  core::RobustOptimum out;
-  out.s_d = r.f64();
-  out.quantile_cost = r.f64();
-  r.expect_end();
-  return out;
+std::vector<regularity::WindowSweepPoint> decode_window_sweep_points(const Bytes& blob) {
+  return decode_record<std::vector<regularity::WindowSweepPoint>>(blob);
 }
 
-std::vector<std::uint8_t> encode(const std::vector<core::SweepPoint>& r) {
-  ByteWriter w;
-  w.u64(r.size());
-  for (const core::SweepPoint& p : r) {
-    w.f64(p.s_d);
-    put_breakdown(w, p.breakdown);
-  }
-  return w.take();
+fabsim::LotResult decode_lot_result(const Bytes& blob) {
+  return decode_record<fabsim::LotResult>(blob);
 }
 
-std::vector<core::SweepPoint> decode_sweep_points(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob, kContext);
-  std::vector<core::SweepPoint> out(r.count(r.u64(), 56));
-  for (core::SweepPoint& p : out) {
-    p.s_d = r.f64();
-    p.breakdown = get_breakdown(r);
-  }
-  r.expect_end();
-  return out;
-}
-
-std::vector<std::uint8_t> encode(const std::vector<regularity::WindowSweepPoint>& r) {
-  ByteWriter w;
-  w.u64(r.size());
-  for (const regularity::WindowSweepPoint& p : r) {
-    w.i64(p.window);
-    w.i64(p.total_windows);
-    w.i64(p.unique_patterns);
-    w.f64(p.regularity_index);
-  }
-  return w.take();
-}
-
-std::vector<regularity::WindowSweepPoint> decode_window_sweep_points(
-    const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob, kContext);
-  std::vector<regularity::WindowSweepPoint> out(r.count(r.u64(), 32));
-  for (regularity::WindowSweepPoint& p : out) {
-    p.window = r.i64();
-    p.total_windows = r.i64();
-    p.unique_patterns = r.i64();
-    p.regularity_index = r.f64();
-  }
-  r.expect_end();
-  return out;
-}
-
-std::vector<std::uint8_t> encode(const fabsim::LotResult& r) {
-  ByteWriter w;
-  w.u64(r.wafers.size());
-  for (const fabsim::WaferResult& wafer : r.wafers) {
-    w.i64(wafer.gross_dies);
-    w.i64(wafer.good_dies);
-    w.i64(wafer.defects);
-    w.i64(wafer.defects_on_dies);
-  }
-  w.i64(r.total_dies);
-  w.i64(r.good_dies);
-  w.u64(r.fault_histogram.size());
-  for (const std::int64_t count : r.fault_histogram) w.i64(count);
-  return w.take();
-}
-
-fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob, kContext);
-  fabsim::LotResult out;
-  out.wafers.resize(r.count(r.u64(), 32));
-  for (fabsim::WaferResult& wafer : out.wafers) {
-    wafer.gross_dies = r.i64();
-    wafer.good_dies = r.i64();
-    wafer.defects = r.i64();
-    wafer.defects_on_dies = r.i64();
-  }
-  out.total_dies = r.i64();
-  out.good_dies = r.i64();
-  out.fault_histogram.resize(r.count(r.u64(), 8));
-  for (std::int64_t& count : out.fault_histogram) count = r.i64();
-  r.expect_end();
-  return out;
-}
-
-std::vector<std::uint8_t> encode(const place::MultistartResult& r) {
+Bytes encode(const place::MultistartResult& r) {
   ByteWriter w;
   const place::Placement& p = r.best.placement;
   w.i32(p.rows());
   w.i32(p.cols());
   w.i32(p.gate_count());
   for (std::int32_t g = 0; g < p.gate_count(); ++g) w.i32(p.site_of(g));
-  w.f64(r.best.initial_hpwl);
-  w.f64(r.best.final_hpwl);
-  w.i64(r.best.moves_tried);
-  w.i64(r.best.moves_accepted);
-  w.i32(r.best_start);
-  w.i32(r.starts);
-  w.u64(r.start_hpwls.size());
-  for (const double h : r.start_hpwls) w.f64(h);
+  tail_fields(w, r);
   return w.take();
 }
 
-place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>& blob) {
+place::MultistartResult decode_multistart_result(const Bytes& blob) {
   ByteReader r(blob, kContext);
   const std::int32_t rows = r.i32();
   const std::int32_t cols = r.i32();
@@ -193,14 +161,7 @@ place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>
   for (std::int32_t g = 0; g < gates; ++g) placement.assign(g, r.i32());
   place::MultistartResult out{place::PlaceResult{std::move(placement), 0.0, 0.0, 0, 0}, 0, 0,
                               {}};
-  out.best.initial_hpwl = r.f64();
-  out.best.final_hpwl = r.f64();
-  out.best.moves_tried = r.i64();
-  out.best.moves_accepted = r.i64();
-  out.best_start = r.i32();
-  out.starts = r.i32();
-  out.start_hpwls.resize(r.count(r.u64(), 8));
-  for (double& h : out.start_hpwls) h = r.f64();
+  tail_fields(r, out);
   r.expect_end();
   return out;
 }

@@ -43,7 +43,7 @@ Digest128 cell_digest(const layout::Cell& cell,
 
 Digest128 sweep_eq4_key(const core::Eq4Inputs& inputs, double lo, double hi, int steps) {
   KeyBuilder key("core.sweep_eq4");
-  core::append_key(key, inputs);
+  core::fields(key, inputs);
   key.f64("lo", lo).f64("hi", hi).i32("steps", steps);
   return key.digest();
 }
@@ -51,7 +51,7 @@ Digest128 sweep_eq4_key(const core::Eq4Inputs& inputs, double lo, double hi, int
 Digest128 monte_carlo_cost_key(const core::UncertainInputs& inputs, double s_d, int samples,
                                std::uint64_t seed, double die_budget) {
   KeyBuilder key("core.monte_carlo_cost");
-  core::append_key(key, inputs);
+  core::fields(key, inputs);
   key.f64("s_d", s_d).i32("samples", samples).u64("seed", seed).f64("die_budget", die_budget);
   return key.digest();
 }
@@ -59,7 +59,7 @@ Digest128 monte_carlo_cost_key(const core::UncertainInputs& inputs, double s_d, 
 Digest128 robust_sd_key(const core::UncertainInputs& inputs, double quantile, double lo,
                         double hi, int steps, int samples, std::uint64_t seed) {
   KeyBuilder key("core.robust_sd");
-  core::append_key(key, inputs);
+  core::fields(key, inputs);
   key.f64("quantile", quantile)
       .f64("lo", lo)
       .f64("hi", hi)

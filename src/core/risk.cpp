@@ -281,14 +281,6 @@ RiskResult summarize_cost_samples(std::vector<double> costs, const UncertainInpu
   return result;
 }
 
-void append_key(cache::KeyBuilder& key, const UncertainInputs& in) {
-  append_key(key, in.nominal);
-  key.f64("yield_sigma", in.yield_sigma)
-      .f64("cm_sq_sigma_rel", in.cm_sq_sigma_rel)
-      .f64("design_cost_sigma_rel", in.design_cost_sigma_rel)
-      .f64("volume_sigma_rel", in.volume_sigma_rel);
-}
-
 void require_die_budget(double die_budget) {
   if (std::isnan(die_budget)) {
     throw std::invalid_argument("risk die_budget must not be NaN (<= 0 disables it)");
@@ -403,7 +395,7 @@ std::uint64_t RiskCampaign::config_fingerprint() const {
   // The whole input closure of a scenario (the sample count is the
   // unit count, which the engine mixes in itself).
   cache::KeyBuilder key("risk.campaign");
-  append_key(key, inputs_);
+  fields(key, inputs_);
   key.f64("s_d", s_d_).u64("seed", seed_).f64("die_budget", die_budget_);
   const cache::Digest128 d = key.digest();
   return d.hi ^ d.lo;

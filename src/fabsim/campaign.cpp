@@ -9,9 +9,8 @@
 
 namespace nanocost::fabsim {
 
-// Chunk blob layout (bytes/codec.hpp):
-//   per wafer: i64 gross_dies, good_dies, defects, defects_on_dies
-//   then:      u64 histogram length, i64 histogram[...]
+// Chunk blob layout (bytes/codec.hpp): each wafer's fields(), then the
+// fault histogram as a u64 length and its i64 counts.
 
 FabLotCampaign::FabLotCampaign(const FabSimulator& sim, std::int64_t n_wafers,
                                std::uint64_t seed)
@@ -39,14 +38,8 @@ void FabLotCampaign::run_chunk(std::int64_t begin, std::int64_t end,
   sim_->run_units(begin, end, seed_, wafers.data(), histogram);
   bytes::ByteWriter w;
   w.reserve(static_cast<std::size_t>(end - begin + 1) * 32);
-  for (const WaferResult& wafer : wafers) {
-    w.i64(wafer.gross_dies);
-    w.i64(wafer.good_dies);
-    w.i64(wafer.defects);
-    w.i64(wafer.defects_on_dies);
-  }
-  w.u64(histogram.size());
-  for (const std::int64_t h : histogram) w.i64(h);
+  for (const WaferResult& wafer : wafers) fields(w, wafer);
+  w.seq("histogram length", histogram, 8, [&](std::int64_t h) { w.i64("dies", h); });
   blob = w.take();
 }
 
@@ -65,10 +58,7 @@ PartialLot FabLotCampaign::assemble(const robust::CampaignResult& result) const 
     std::int64_t chunk_dies = 0;
     for (std::int64_t i = begin; i < end; ++i) {
       WaferResult& w = out.lot.wafers[static_cast<std::size_t>(i)];
-      w.gross_dies = r.i64();
-      w.good_dies = r.i64();
-      w.defects = r.i64();
-      w.defects_on_dies = r.i64();
+      fields(r, w);
       if (w.gross_dies != sim_->wafer_map().die_count() || w.good_dies < 0 ||
           w.good_dies > w.gross_dies || w.defects_on_dies < 0 ||
           w.defects_on_dies > w.defects) {
@@ -85,7 +75,7 @@ PartialLot FabLotCampaign::assemble(const robust::CampaignResult& result) const 
       out.lot.fault_histogram.resize(hist_len, 0);
     }
     for (std::size_t k = 0; k < hist_len; ++k) {
-      const std::int64_t dies = r.i64();
+      const std::int64_t dies = r.i64("dies");
       if (dies < 0 || dies > chunk_dies) r.fail("histogram miscounts the chunk's dies");
       chunk_dies -= dies;
       out.lot.fault_histogram[k] += dies;

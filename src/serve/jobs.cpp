@@ -1,7 +1,9 @@
 #include "nanocost/serve/jobs.hpp"
 
 #include <cstdio>
+#include <numbers>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -18,65 +20,126 @@ namespace nanocost::serve {
 namespace {
 
 using ByteReader = bytes::ByteReader<>;
+using Bytes = std::vector<std::uint8_t>;
 using bytes::ByteWriter;
+using bytes::RecordOf;
 
 constexpr std::string_view kContext = "serve job payload";
 
-// Job payloads flatten the unit wrappers to their double values; the
-// strong types are re-entered (and re-validated: Probability throws on
-// a corrupt yield) at decode.
+// ---- Field lists (bytes/codec.hpp): one per payload --------------------
+// The strong unit types of the inputs travel as doubles and are
+// re-entered (and re-validated: Probability throws on a corrupt yield)
+// when read.
 
-void put_eq4_inputs(ByteWriter& w, const core::Eq4Inputs& in) {
-  w.f64(in.lambda.value());
-  w.f64(in.yield.value());
-  w.f64(in.manufacturing_cost.value());
-  w.f64(in.transistors_per_chip);
-  w.f64(in.n_wafers);
-  w.f64(in.wafer_area.value());
-  w.f64(in.mask_cost.value());
-  const cost::DesignCostParams& p = in.design_model.params();
-  w.f64(p.a0);
-  w.f64(p.p1);
-  w.f64(p.p2);
-  w.f64(p.s_d0);
-  w.f64(in.utilization.value());
+template <class IO, RecordOf<Eq4Job> R>
+void fields(IO& io, R& job) {
+  io.u64("request_id", job.request_id);
+  fields(io, job.inputs);
+  io.f64("lo", job.lo);
+  io.f64("hi", job.hi);
+  io.i32("steps", job.steps);
 }
 
-core::Eq4Inputs get_eq4_inputs(ByteReader& r) {
-  core::Eq4Inputs in;
-  in.lambda = units::Micrometers{r.f64()};
-  in.yield = units::Probability{r.f64()};
-  in.manufacturing_cost = units::CostPerArea{r.f64()};
-  in.transistors_per_chip = r.f64();
-  in.n_wafers = r.f64();
-  in.wafer_area = units::SquareCentimeters{r.f64()};
-  in.mask_cost = units::Money{r.f64()};
-  cost::DesignCostParams p;
-  p.a0 = r.f64();
-  p.p1 = r.f64();
-  p.p2 = r.f64();
-  p.s_d0 = r.f64();
-  in.design_model = cost::DesignCostModel{p};
-  in.utilization = units::Probability{r.f64()};
-  return in;
+template <class IO, RecordOf<RiskJob> R>
+void fields(IO& io, R& job) {
+  io.u64("request_id", job.request_id);
+  fields(io, job.inputs);
+  io.f64("s_d", job.s_d);
+  io.i32("samples", job.samples);
+  io.u64("seed", job.seed);
+  io.f64("die_budget", job.die_budget);
 }
 
-void put_uncertain_inputs(ByteWriter& w, const core::UncertainInputs& in) {
-  put_eq4_inputs(w, in.nominal);
-  w.f64(in.yield_sigma);
-  w.f64(in.cm_sq_sigma_rel);
-  w.f64(in.design_cost_sigma_rel);
-  w.f64(in.volume_sigma_rel);
+template <class IO, RecordOf<CampaignJob> R>
+void fields(IO& io, R& job) {
+  io.u64("request_id", job.request_id);
+  io.f64("wafer_diameter_mm", job.wafer_diameter_mm);
+  io.f64("wafer_edge_exclusion_mm", job.wafer_edge_exclusion_mm);
+  io.f64("wafer_scribe_mm", job.wafer_scribe_mm);
+  io.f64("die_width_mm", job.die_width_mm);
+  io.f64("die_height_mm", job.die_height_mm);
+  io.f64("size_xmin_um", job.size_xmin_um);
+  io.f64("size_peak_um", job.size_peak_um);
+  io.f64("size_xmax_um", job.size_xmax_um);
+  io.f64("size_q", job.size_q);
+  io.f64("defect_density_per_cm2", job.defect_density_per_cm2);
+  io.f64("cluster_alpha", job.cluster_alpha);
+  io.boolean("clustered", job.clustered);
+  io.f64("radial_edge_boost", job.radial_edge_boost);
+  io.f64("radial_sharpness", job.radial_sharpness);
+  io.f64("wire_width_um", job.wire_width_um);
+  io.f64("wire_spacing_um", job.wire_spacing_um);
+  io.f64("wire_length_um", job.wire_length_um);
+  io.i32("wire_count", job.wire_count);
+  io.i64("n_wafers", job.n_wafers);
+  io.u64("seed", job.seed);
+  io.i64("max_chunks", job.max_chunks);
 }
 
-core::UncertainInputs get_uncertain_inputs(ByteReader& r) {
-  core::UncertainInputs in;
-  in.nominal = get_eq4_inputs(r);
-  in.yield_sigma = r.f64();
-  in.cm_sq_sigma_rel = r.f64();
-  in.design_cost_sigma_rel = r.f64();
-  in.volume_sigma_rel = r.f64();
-  return in;
+template <class IO, RecordOf<Response> R>
+void fields(IO& io, R& r) {
+  io.u64("request_id", r.request_id);
+  io.u8("status", r.status, ResponseStatus::kError);
+  io.str("message", r.message);
+  io.bytes("result", r.result);
+  io.f64("completeness", r.completeness);
+  io.i64("frontier_chunks", r.frontier_chunks);
+  io.u64("artifact_hits", r.artifact_hits);
+  io.boolean("coalesced", r.coalesced);
+}
+
+template <class IO, RecordOf<StatsReport> R>
+void fields(IO& io, R& report) {
+  io.u64("request_id", report.request_id);
+  io.str("server_version", report.server_version);
+  io.str("simd_level", report.simd_level);
+  io.wide_u32("hardware_concurrency", report.hardware_concurrency);
+  io.u64("pid", report.pid);
+  io.u64("uptime_ms", report.uptime_ms);
+  io.bytes("stats", report.stats);
+}
+
+template <class IO, RecordOf<HelloRequest> R>
+void fields(IO& io, R& hello) {
+  io.u64("request_id", hello.request_id);
+  io.wide_u32("protocol_version", hello.protocol_version);
+  io.str("build_version", hello.build_version);
+  io.str("tenant", hello.tenant);
+  io.wide_u32("attempt", hello.attempt);
+}
+
+template <class IO, RecordOf<HelloAck> R>
+void fields(IO& io, R& ack) {
+  io.u64("request_id", ack.request_id);
+  io.wide_u32("protocol_version", ack.protocol_version);
+  io.str("build_version", ack.build_version);
+}
+
+/// Throws when `count` units of `unit_bytes` each pass the request cap.
+/// A NaN or negative count passes: the kernels reject it by name.
+void charge(const char* field, double count, double unit_bytes) {
+  const double bytes = count * unit_bytes;
+  if (!(bytes > static_cast<double>(kMaxRequestBytes))) return;
+  char text[160];
+  std::snprintf(text, sizeof(text), "%s = %.10g prices %.3g bytes, over the %llu-byte request cap",
+                field, count, bytes, static_cast<unsigned long long>(kMaxRequestBytes));
+  throw std::length_error(text);
+}
+
+template <class R>
+Bytes encode_record(const R& r) {
+  ByteWriter w;
+  fields(w, r);
+  return w.take();
+}
+
+template <class R>
+R decode_record(const Bytes& payload) {
+  ByteReader in(payload, kContext);
+  R r;
+  fields(in, r);
+  in.expect_end();
+  return r;
 }
 
 }  // namespace
@@ -127,204 +190,42 @@ std::string result_digest(const std::vector<std::uint8_t>& result) {
 
 // ---- Payload codecs -----------------------------------------------------
 
-std::vector<std::uint8_t> encode_payload(const Eq4Job& job) {
-  ByteWriter w;
-  w.u64(job.request_id);
-  put_eq4_inputs(w, job.inputs);
-  w.f64(job.lo);
-  w.f64(job.hi);
-  w.i32(job.steps);
-  return w.take();
+Bytes encode_payload(const Eq4Job& job) { return encode_record(job); }
+Bytes encode_payload(const RiskJob& job) { return encode_record(job); }
+Bytes encode_payload(const CampaignJob& job) { return encode_record(job); }
+Bytes encode_payload(const Response& response) { return encode_record(response); }
+Bytes encode_payload(const StatsReport& report) { return encode_record(report); }
+Bytes encode_payload(const HelloRequest& hello) { return encode_record(hello); }
+Bytes encode_payload(const HelloAck& ack) { return encode_record(ack); }
+
+Eq4Job decode_eq4_job(const Bytes& payload) { return decode_record<Eq4Job>(payload); }
+RiskJob decode_risk_job(const Bytes& payload) { return decode_record<RiskJob>(payload); }
+CampaignJob decode_campaign_job(const Bytes& payload) {
+  return decode_record<CampaignJob>(payload);
+}
+Response decode_response(const Bytes& payload) { return decode_record<Response>(payload); }
+StatsReport decode_stats_report(const Bytes& payload) {
+  return decode_record<StatsReport>(payload);
+}
+HelloRequest decode_hello(const Bytes& payload) { return decode_record<HelloRequest>(payload); }
+HelloAck decode_hello_ack(const Bytes& payload) { return decode_record<HelloAck>(payload); }
+
+void check_price(const Eq4Job& job) {
+  charge("steps", job.steps, sizeof(core::SweepPoint));
 }
 
-Eq4Job decode_eq4_job(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  Eq4Job job;
-  job.request_id = r.u64();
-  job.inputs = get_eq4_inputs(r);
-  job.lo = r.f64();
-  job.hi = r.f64();
-  job.steps = r.i32("steps");
-  r.expect_end();
-  return job;
-}
+void check_price(const RiskJob& job) { charge("samples", job.samples, sizeof(double)); }
 
-std::vector<std::uint8_t> encode_payload(const RiskJob& job) {
-  ByteWriter w;
-  w.u64(job.request_id);
-  put_uncertain_inputs(w, job.inputs);
-  w.f64(job.s_d);
-  w.i32(job.samples);
-  w.u64(job.seed);
-  w.f64(job.die_budget);
-  return w.take();
-}
-
-RiskJob decode_risk_job(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  RiskJob job;
-  job.request_id = r.u64();
-  job.inputs = get_uncertain_inputs(r);
-  job.s_d = r.f64();
-  job.samples = r.i32("samples");
-  job.seed = r.u64();
-  job.die_budget = r.f64();
-  r.expect_end();
-  return job;
-}
-
-std::vector<std::uint8_t> encode_payload(const CampaignJob& job) {
-  ByteWriter w;
-  w.u64(job.request_id);
-  w.f64(job.wafer_diameter_mm);
-  w.f64(job.wafer_edge_exclusion_mm);
-  w.f64(job.wafer_scribe_mm);
-  w.f64(job.die_width_mm);
-  w.f64(job.die_height_mm);
-  w.f64(job.size_xmin_um);
-  w.f64(job.size_peak_um);
-  w.f64(job.size_xmax_um);
-  w.f64(job.size_q);
-  w.f64(job.defect_density_per_cm2);
-  w.f64(job.cluster_alpha);
-  w.boolean(job.clustered);
-  w.f64(job.radial_edge_boost);
-  w.f64(job.radial_sharpness);
-  w.f64(job.wire_width_um);
-  w.f64(job.wire_spacing_um);
-  w.f64(job.wire_length_um);
-  w.i32(job.wire_count);
-  w.i64(job.n_wafers);
-  w.u64(job.seed);
-  w.i64(job.max_chunks);
-  return w.take();
-}
-
-CampaignJob decode_campaign_job(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  CampaignJob job;
-  job.request_id = r.u64();
-  job.wafer_diameter_mm = r.f64();
-  job.wafer_edge_exclusion_mm = r.f64();
-  job.wafer_scribe_mm = r.f64();
-  job.die_width_mm = r.f64();
-  job.die_height_mm = r.f64();
-  job.size_xmin_um = r.f64();
-  job.size_peak_um = r.f64();
-  job.size_xmax_um = r.f64();
-  job.size_q = r.f64();
-  job.defect_density_per_cm2 = r.f64();
-  job.cluster_alpha = r.f64();
-  job.clustered = r.boolean("clustered");
-  job.radial_edge_boost = r.f64();
-  job.radial_sharpness = r.f64();
-  job.wire_width_um = r.f64();
-  job.wire_spacing_um = r.f64();
-  job.wire_length_um = r.f64();
-  job.wire_count = r.i32("wire_count");
-  job.n_wafers = r.i64();
-  job.seed = r.u64();
-  job.max_chunks = r.i64();
-  r.expect_end();
-  return job;
-}
-
-std::vector<std::uint8_t> encode_payload(const Response& response) {
-  ByteWriter w;
-  w.u64(response.request_id);
-  w.u8(static_cast<std::uint8_t>(response.status));
-  w.str(response.message);
-  w.bytes(response.result);
-  w.f64(response.completeness);
-  w.i64(response.frontier_chunks);
-  w.u64(response.artifact_hits);
-  w.boolean(response.coalesced);
-  return w.take();
-}
-
-Response decode_response(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  Response response;
-  response.request_id = r.u64();
-  const std::uint8_t status = r.u8("status");
-  if (status > static_cast<std::uint8_t>(ResponseStatus::kError)) {
-    r.fail("declares unknown response status code " + std::to_string(status));
+void check_price(const CampaignJob& job) {
+  charge("n_wafers", static_cast<double>(job.n_wafers), sizeof(fabsim::WaferResult));
+  const double radius = job.wafer_diameter_mm / 2.0;
+  const double step_area = (job.die_width_mm + job.wafer_scribe_mm) *
+                           (job.die_height_mm + job.wafer_scribe_mm);
+  if (step_area > 0.0) {
+    charge("estimated wafer sites (wafer area / die_width_mm x die_height_mm step)",
+           std::numbers::pi * radius * radius / step_area,
+           sizeof(geometry::DieSite) + sizeof(std::int64_t));
   }
-  response.status = static_cast<ResponseStatus>(status);
-  response.message = r.str();
-  response.result = r.bytes();
-  response.completeness = r.f64();
-  response.frontier_chunks = r.i64();
-  response.artifact_hits = r.u64();
-  response.coalesced = r.boolean("coalesced");
-  r.expect_end();
-  return response;
-}
-
-std::vector<std::uint8_t> encode_payload(const StatsReport& report) {
-  ByteWriter w;
-  w.u64(report.request_id);
-  w.str(report.server_version);
-  w.str(report.simd_level);
-  w.u64(report.hardware_concurrency);
-  w.u64(report.pid);
-  w.u64(report.uptime_ms);
-  w.bytes(report.stats);
-  return w.take();
-}
-
-StatsReport decode_stats_report(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  StatsReport report;
-  report.request_id = r.u64();
-  report.server_version = r.str();
-  report.simd_level = r.str();
-  report.hardware_concurrency = r.wide_u32("hardware_concurrency");
-  report.pid = r.u64();
-  report.uptime_ms = r.u64();
-  report.stats = r.bytes();
-  r.expect_end();
-  return report;
-}
-
-std::vector<std::uint8_t> encode_payload(const HelloRequest& hello) {
-  ByteWriter w;
-  w.u64(hello.request_id);
-  w.u64(hello.protocol_version);
-  w.str(hello.build_version);
-  w.str(hello.tenant);
-  w.u64(hello.attempt);
-  return w.take();
-}
-
-HelloRequest decode_hello(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  HelloRequest hello;
-  hello.request_id = r.u64();
-  hello.protocol_version = r.wide_u32("protocol_version");
-  hello.build_version = r.str();
-  hello.tenant = r.str();
-  hello.attempt = r.wide_u32("attempt");
-  r.expect_end();
-  return hello;
-}
-
-std::vector<std::uint8_t> encode_payload(const HelloAck& ack) {
-  ByteWriter w;
-  w.u64(ack.request_id);
-  w.u64(ack.protocol_version);
-  w.str(ack.build_version);
-  return w.take();
-}
-
-HelloAck decode_hello_ack(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload, kContext);
-  HelloAck ack;
-  ack.request_id = r.u64();
-  ack.protocol_version = r.wide_u32("protocol_version");
-  ack.build_version = r.str();
-  r.expect_end();
-  return ack;
 }
 
 std::uint64_t peek_request_id(const std::vector<std::uint8_t>& payload) noexcept {

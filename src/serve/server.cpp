@@ -1,5 +1,6 @@
 #include "nanocost/serve/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -145,110 +146,40 @@ obs::Histogram& job_latency_hist(JobKind kind, ResponseStatus status) {
   return *table.h[static_cast<int>(kind)][outcome_index(status)];
 }
 
-void count_request() {
+/// A metric name as a template argument: each name gets its own
+/// function-local handle below.
+template <std::size_t N>
+struct MetricName {
+  char text[N];
+  consteval MetricName(const char (&name)[N]) { std::copy_n(name, N, text); }
+};
+
+/// Adds `n` to counter `Name` when metrics are on.
+template <MetricName Name>
+void count(std::uint64_t n = 1) {
   if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.requests");
-    c.add();
+    static obs::Counter& c = obs::counter(Name.text);
+    c.add(n);
   }
 }
 
-void count_wire_error() {
+/// Sets gauge `Name` when metrics are on.
+template <MetricName Name>
+void set_gauge(double v) {
   if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.wire_errors");
-    c.add();
-  }
-}
-
-void count_coalesced() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.coalesced");
-    c.add();
-  }
-}
-
-void count_shed() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.shed");
-    c.add();
-  }
-}
-
-void count_bytes_in(std::size_t payload_bytes) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.bytes_in");
-    c.add(payload_bytes + kFrameOverheadBytes);
-  }
-}
-
-void count_bytes_out(std::size_t payload_bytes) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.bytes_out");
-    c.add(payload_bytes + kFrameOverheadBytes);
+    static obs::Gauge& g = obs::gauge(Name.text);
+    g.set(v);
   }
 }
 
 void set_queue_gauges(const robust::CampaignQueue& queue) {
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& depth = obs::gauge("serve.queue_depth");
-    static obs::Gauge& retained = obs::gauge("robust.queue_retained");
-    depth.set(static_cast<double>(queue.outstanding()));
-    retained.set(static_cast<double>(queue.retained()));
-  }
-}
-
-void set_inflight(std::int64_t n) {
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& g = obs::gauge("serve.inflight");
-    g.set(static_cast<double>(n));
-  }
-}
-
-void set_coalesced_inflight(std::int64_t n) {
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& g = obs::gauge("serve.coalesced_inflight");
-    g.set(static_cast<double>(n));
-  }
-}
-
-void count_handshake() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.handshakes");
-    c.add();
-  }
-}
-
-void count_handshake_reject() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.handshake_rejects");
-    c.add();
-  }
-}
-
-void count_reconnect() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.reconnects_total");
-    c.add();
-  }
-}
-
-void count_reaped() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.reaped_connections");
-    c.add();
-  }
-}
-
-void count_evicted() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.evicted_connections");
-    c.add();
-  }
+  set_gauge<"serve.queue_depth">(static_cast<double>(queue.outstanding()));
+  set_gauge<"robust.queue_retained">(static_cast<double>(queue.retained()));
 }
 
 void count_tenant_shed(const std::string& tenant) {
+  count<"serve.tenant_shed_total">();
   if (obs::metrics_enabled()) {
-    static obs::Counter& total = obs::counter("serve.tenant_shed_total");
-    total.add();
     // The per-tenant spelling is dynamic; the registry lookup is fine
     // here because shedding is the rare path by construction.
     obs::counter("serve.tenant_shed." + (tenant.empty() ? std::string("anonymous") : tenant))
@@ -383,7 +314,7 @@ struct Server::Impl {
       if (!admit()) return;
       write_frame(*conn.stream, type, payload);
       if (served) requests_served.fetch_add(1, std::memory_order_relaxed);
-      count_bytes_out(payload.size());
+      count<"serve.bytes_out">(payload.size() + kFrameOverheadBytes);
     } catch (const WireError&) {
       conn.dead.store(true, std::memory_order_release);
     }
@@ -435,7 +366,7 @@ struct Server::Impl {
           continue;
         }
         connections_reaped.fetch_add(1, std::memory_order_relaxed);
-        count_reaped();
+        count<"serve.reaped_connections">();
         send_error_frame(conn, 0, e.what());
         kill = true;
         break;
@@ -443,7 +374,7 @@ struct Server::Impl {
         // Structural damage: this connection dies with a diagnostic;
         // the server keeps serving everyone else.
         wire_errors.fetch_add(1, std::memory_order_relaxed);
-        count_wire_error();
+        count<"serve.wire_errors">();
         send_error_frame(conn, 0, e.what());
         kill = true;
         break;
@@ -451,7 +382,7 @@ struct Server::Impl {
       if (!frame) break;  // clean close, drain interrupt, or eviction
       conn->last_activity_ns.store(now_ns(), std::memory_order_relaxed);
       ++conn->frames_seen;
-      count_bytes_in(frame->payload.size());
+      count<"serve.bytes_in">(frame->payload.size() + kFrameOverheadBytes);
       if (!dispatch(conn, *frame)) {
         kill = true;
         break;
@@ -475,7 +406,7 @@ struct Server::Impl {
   /// must close (protocol violation).
   bool dispatch(const std::shared_ptr<Connection>& conn, const Frame& frame) {
     obs::ObsSpan span("serve.request");
-    count_request();
+    count<"serve.requests">();
     const std::uint64_t request_id = peek_request_id(frame.payload);
     const std::uint64_t start_us = now_us();
     try {
@@ -516,7 +447,7 @@ struct Server::Impl {
         // Server-to-client types arriving at the server: a confused or
         // hostile peer.  Kill the connection, keep the server.
         wire_errors.fetch_add(1, std::memory_order_relaxed);
-        count_wire_error();
+        count<"serve.wire_errors">();
         send_error_frame(conn, request_id,
                          std::string("protocol violation: client sent a ") +
                              frame_type_name(frame.type) + " frame");
@@ -533,7 +464,7 @@ struct Server::Impl {
   bool reject_handshake(const std::shared_ptr<Connection>& conn, std::uint64_t request_id,
                         const std::string& why) {
     handshake_rejects.fetch_add(1, std::memory_order_relaxed);
-    count_handshake_reject();
+    count<"serve.handshake_rejects">();
     send_error_frame(conn, request_id, "NCWIRE01 handshake rejected: " + why);
     return false;
   }
@@ -569,11 +500,11 @@ struct Server::Impl {
     }
     conn->helloed = true;
     conn->tenant = hello.tenant;
-    count_handshake();
+    count<"serve.handshakes">();
     if (hello.attempt > 0) {
       // A retrying client re-introducing itself: the fleet-health signal
       // the chaos soak scrapes for.
-      count_reconnect();
+      count<"serve.reconnects_total">();
     }
     HelloAck ack;
     ack.request_id = hello.request_id;
@@ -693,15 +624,18 @@ struct Server::Impl {
       if (frame.type == FrameType::kEq4Request) {
         job.is_eq4 = true;
         job.eq4 = decode_eq4_job(frame.payload);
+        check_price(job.eq4);
         job.key = job_key(job.eq4);
       } else {
         job.is_eq4 = false;
         job.risk = decode_risk_job(frame.payload);
+        check_price(job.risk);
         job.key = job_key(job.risk);
       }
     } catch (const std::exception& e) {
       // The frame was structurally sound (checksum passed) but the job
-      // is semantically invalid: error response, connection lives.
+      // is semantically invalid or priced over the request cap: error
+      // response, connection lives.
       send_response(conn, error_response(request_id,
                                          std::string("invalid job payload: ") + e.what()),
                     clock);
@@ -734,6 +668,7 @@ struct Server::Impl {
     cache::Digest128 key;
     try {
       job = decode_campaign_job(frame.payload);
+      check_price(job);
       sim = std::make_unique<fabsim::FabSimulator>(make_simulator(job));
       key = job_key(job, *sim);
     } catch (const std::exception& e) {
@@ -790,7 +725,7 @@ struct Server::Impl {
       robust::Submission verdict = queue.submit(*task, run);
       if (!verdict.admitted()) {
         campaigns_shed.fetch_add(1, std::memory_order_relaxed);
-        count_shed();
+        count<"serve.shed">();
         immediate.request_id = request_id;
         immediate.status = verdict.status == robust::SubmissionStatus::kShed
                                ? ResponseStatus::kShed
@@ -938,11 +873,11 @@ struct Server::Impl {
     ++inflight_waiters;
     if (group.size() > 1) {
       coalesced_count.fetch_add(1, std::memory_order_relaxed);
-      count_coalesced();
+      count<"serve.coalesced">();
       ++coalesced_waiters;
-      set_coalesced_inflight(coalesced_waiters);
+      set_gauge<"serve.coalesced_inflight">(static_cast<double>(coalesced_waiters));
     }
-    set_inflight(inflight_waiters);
+    set_gauge<"serve.inflight">(static_cast<double>(inflight_waiters));
   }
 
   /// Retires a finished group's waiters from the in-flight gauges under
@@ -954,8 +889,8 @@ struct Server::Impl {
     if (waiters.size() > 1) {
       coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
     }
-    set_inflight(inflight_waiters);
-    set_coalesced_inflight(coalesced_waiters);
+    set_gauge<"serve.inflight">(static_cast<double>(inflight_waiters));
+    set_gauge<"serve.coalesced_inflight">(static_cast<double>(coalesced_waiters));
     lk.unlock();
     for (std::size_t i = 0; i < waiters.size(); ++i) {
       r.request_id = waiters[i].request_id;
@@ -1004,7 +939,7 @@ struct Server::Impl {
       }
       if (live < options.max_connections || victim == nullptr) return;
       connections_evicted.fetch_add(1, std::memory_order_relaxed);
-      count_evicted();
+      count<"serve.evicted_connections">();
       send_error_frame(victim, 0,
                        "NCWIRE01 connection evicted: server at its max-connections cap (" +
                            std::to_string(options.max_connections) +
